@@ -462,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="COCO-protocol AP report")
     p.add_argument("--gt", required=True)
     p.add_argument("--dets", required=True)
-    p.add_argument("--max-dets", type=int, default=100)
+    p.add_argument("--max-dets", type=int, default=1500,
+                   help="detections kept per (image, category), by score "
+                        "(default 1500, the AI-TOD setting)")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -33,6 +33,10 @@ class BBoxAnnotation:
     score: Optional[float] = None
 
     def __post_init__(self):
+        box = (self.cx, self.cy, self.width, self.height)
+        if not all(math.isfinite(v) for v in box):
+            raise InvalidArgumentError(
+                f"annotation (image {self.image_id}): non-finite box {box}")
         if not (self.width > 0 and self.height > 0):
             raise InvalidArgumentError(
                 f"annotation (image {self.image_id}): non-positive box "

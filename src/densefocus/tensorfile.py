@@ -13,6 +13,7 @@ Tensor container layout (all little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -137,6 +138,8 @@ def load_annotation_file(path):
             raise FormatError(
                 f"annotation {aid}: dangling category_id {ann['category_id']}")
         x, y, w, h = (float(v) for v in ann["bbox"])
+        if not all(math.isfinite(v) for v in (x, y, w, h)):
+            raise FormatError(f"annotation {aid}: non-finite bbox value")
         if w <= 0 or h <= 0:
             raise FormatError(f"annotation {aid}: non-positive bbox extents")
         img = images[img_id]

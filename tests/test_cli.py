@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from densefocus.cli import GRADCHECK_TOLERANCE, cli_dispatch, train_demo
+from densefocus.evalkit import ap_report
 from densefocus.params import seeded_uniform
-from densefocus.tensorfile import read_tensor, write_tensor
+from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
+from densefocus.tensorfile import (load_annotation_file, read_tensor,
+                                   save_annotation_file, write_tensor)
 
 
 def run(*argv):
@@ -134,6 +137,38 @@ def test_eval_command(tmp_path, scene_dir, capsys):
     assert header.split(",") == sorted(report)
     values = dict(zip(header.split(","), row.split(",")))
     assert float(values["ap50"]) == report["ap50"]
+
+
+def test_eval_default_keeps_dense_images_whole(tmp_path, capsys):
+    # one image with 120 objects of one category: a 100-detection cap would cut it
+    spec = SceneSpec(width=96, height=96, n_clusters=4, objects_per_cluster=(30, 30),
+                     object_size=(2, 10), cluster_spread=8.0, seed=3)
+    _, gts = generate_scene(spec)
+    dets = perturb_detections(gts, jitter_px=1.0, score_noise=0.05, seed=3)
+    assert len(dets) > 100 and len({(d.image_id, d.category_id) for d in dets}) == 1
+    images = {1: {"width": 96, "height": 96, "file_name": ""}}
+    gt_path, det_path = tmp_path / "gt.json", tmp_path / "dets.json"
+    save_annotation_file(gt_path, images, gts)
+    save_annotation_file(det_path, images, dets)
+    assert run("eval", "--gt", str(gt_path), "--dets", str(det_path)) == 0
+    report = json.loads(capsys.readouterr().out)
+    _, loaded_gts, _ = load_annotation_file(gt_path)
+    _, _, loaded_dets = load_annotation_file(det_path)
+    want = ap_report(loaded_dets, loaded_gts, max_dets=1500).to_dict()
+    assert report == want
+    assert report != ap_report(loaded_dets, loaded_gts, max_dets=100).to_dict()
+
+
+def test_eval_non_finite_bbox_exits_3(tmp_path, scene_dir, capsys):
+    gt_path = scene_dir / "annotations.json"
+    doc = json.loads(gt_path.read_text())
+    doc["annotations"][0]["bbox"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))     # writes the JSON literal NaN
+    assert run("eval", "--gt", str(bad), "--dets",
+               str(scene_dir / "detections.json")) == 3
+    assert "non-finite bbox" in capsys.readouterr().err
+    assert run("eval", "--gt", str(gt_path), "--dets", str(bad)) == 3
 
 
 @pytest.mark.parametrize("module", ["ops", "density", "dafm", "dffm"])

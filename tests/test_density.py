@@ -120,6 +120,10 @@ def test_annotation_validation_and_xywh_roundtrip():
         ann(5, 5, 0, 3)
     with pytest.raises(InvalidArgumentError):
         ann(5, 5, 3, -1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for box in ((bad, 5, 3, 3), (5, bad, 3, 3), (5, 5, bad, 3), (5, 5, 3, bad)):
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                ann(*box)
     a = BBoxAnnotation.from_xywh(2, 9, 4.0, 6.0, 10.0, 2.0, score=0.75)
     assert (a.cx, a.cy, a.width, a.height) == (9.0, 7.0, 10.0, 2.0)
     assert a.to_xywh() == (4.0, 6.0, 10.0, 2.0)

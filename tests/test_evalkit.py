@@ -7,10 +7,11 @@ import pytest
 from densefocus.density import BBoxAnnotation
 from densefocus.errors import InvalidArgumentError
 from densefocus.evalkit import (
-    IOU_THRESHOLDS, SIZE_BUCKETS, Detection, APReport, ap_report,
+    IOU_THRESHOLDS, SIZE_BUCKETS, Detection, APReport, _iou_matrix, ap_report,
     average_precision, iou, match_detections,
 )
 from densefocus.rng import Rng
+from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
 
 import oracles
 
@@ -30,6 +31,39 @@ def test_iou_hand_values():
     assert iou((0, 0, 4, 4), (1, 1, 2, 2)) == pytest.approx(0.25, rel=1e-15)
     with pytest.raises(InvalidArgumentError):
         iou((0, 0, 0, 2), (0, 0, 2, 2))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            iou((bad, 0, 2, 2), (0, 0, 2, 2))
+        with pytest.raises(InvalidArgumentError):
+            iou((0, 0, 2, 2), (0, 0, 2, bad))
+
+
+def random_boxes(rng, n, snap):
+    """n boxes; with snap, corners sit on a 0.5 grid so edges often touch."""
+    boxes = []
+    for _ in range(n):
+        x, y = rng.uniform(0, 24), rng.uniform(0, 24)
+        w, h = rng.uniform(0.5, 12), rng.uniform(0.5, 12)
+        if snap:
+            x, y, w, h = (round(v * 2) / 2 for v in (x, y, w, h))
+        boxes.append((x, y, w, h))
+    return boxes
+
+
+@pytest.mark.parametrize("snap", [True, False])
+def test_iou_matrix_is_bit_identical_to_the_scalar_formula(snap):
+    rng = Rng(17)
+    dets, gts = random_boxes(rng, 70, snap), random_boxes(rng, 60, snap)
+    m = _iou_matrix(dets, gts)
+    assert m.shape == (70, 60)
+    touching = 0
+    for i, a in enumerate(dets):
+        for j, b in enumerate(gts):
+            assert m[i, j] == iou(a, b) == oracles._iou_ref(a, b), (a, b)
+            touching += a[0] + a[2] == b[0] or b[0] + b[2] == a[0]
+    assert not snap or touching > 50
+    assert _iou_matrix([], gts).shape == (0, 60)
+    assert _iou_matrix(dets, []).shape == (70, 0)
 
 
 def test_detection_validation():
@@ -40,6 +74,10 @@ def test_detection_validation():
         Detection(1, 2, (0, 0, 0, 4), 0.5)
     with pytest.raises(InvalidArgumentError):
         Detection(1, 2, (0, 0, 3, 4), float("nan"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for box in ((bad, 0, 3, 4), (0, bad, 3, 4), (0, 0, bad, 4), (0, 0, 3, bad)):
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                Detection(1, 2, box, 0.5)
 
 
 def test_thresholds_and_buckets_constants():
@@ -111,6 +149,11 @@ def test_match_greedy_iou_tie_prefers_earlier_gt():
     flags2, matched2 = match_detections(dets2, gts2, 0.1)
     assert flags2[0] is True and matched2 == [True, False]
     assert flags2[1] is False  # its only candidate was taken
+    # duplicate gt boxes: the earlier copy is taken first
+    box = (3.0, 4.0, 6.0, 6.0)
+    flags3, matched3 = match_detections([Detection(1, 1, box, 0.5)],
+                                        [gt(1, 1, *box)] * 3, 0.5)
+    assert flags3 == [True] and matched3 == [True, False, False]
 
 
 def test_match_max_dets_cap_flags_none():
@@ -253,10 +296,7 @@ def scenario(seed, n_images=2, n_cats=2):
     return dets[:12], gts
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("max_dets", [100, 2])
-def test_report_matches_brute_force(seed, max_dets):
-    dets, gts = scenario(seed)
+def assert_matches_oracle(dets, gts, max_dets):
     got = ap_report(dets, gts, max_dets=max_dets).to_dict()
     ref = oracles.brute_force_report(
         [(d.image_id, d.category_id, d.bbox, d.score) for d in dets],
@@ -268,6 +308,154 @@ def test_report_matches_brute_force(seed, max_dets):
             assert got[k] == ref[k], k
         else:
             assert abs(got[k] - ref[k]) < 1e-12, k
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("max_dets", [100, 2])
+def test_report_matches_brute_force(seed, max_dets):
+    dets, gts = scenario(seed)
+    assert_matches_oracle(dets, gts, max_dets)
+
+
+# ---------------------------------------------------------------------------
+# oracle equivalence on the ties and edges a matrix-based matcher must keep
+
+def jittered(rng, img, cat, box, spread, score):
+    x, y, w, h = box
+    return Detection(img, cat, (x + rng.uniform(-spread, spread) * w,
+                                y + rng.uniform(-spread, spread) * h,
+                                w * rng.uniform(1 - spread, 1 + spread),
+                                h * rng.uniform(1 - spread, 1 + spread)), score)
+
+
+def duplicate_gt_scene(seed):
+    """Every gt box appears two or three times; dets copy or jitter it."""
+    rng = Rng(seed)
+    gts, dets = [], []
+    for img in (1, 2):
+        for _ in range(8):
+            w = SIZE_POOL[rng.randint(0, len(SIZE_POOL) - 1)]
+            box = (rng.uniform(0, 100), rng.uniform(0, 100), w, w)
+            gts += [gt(img, 1, *box)] * rng.randint(2, 3)
+            dets.append(Detection(img, 1, box, rng.uniform(0.1, 0.9)))
+            for _ in range(rng.randint(0, 3)):
+                dets.append(jittered(rng, img, 1, box, 0.15, rng.uniform(0.1, 0.9)))
+    return dets, gts
+
+
+def equal_score_scene(seed):
+    """Scores drawn from three values, so input order breaks most ties."""
+    rng = Rng(seed)
+    gts, dets = [], []
+    for cat in (1, 2):
+        for _ in range(10):
+            w = SIZE_POOL[rng.randint(0, len(SIZE_POOL) - 1)]
+            box = (rng.uniform(0, 60), rng.uniform(0, 60), w, w * rng.uniform(0.8, 1.2))
+            gts.append(gt(1, cat, *box))
+            for _ in range(rng.randint(1, 3)):
+                dets.append(jittered(rng, 1, cat, box, 0.25,
+                                     (0.3, 0.6, 0.9)[rng.randint(0, 2)]))
+    return dets, gts
+
+
+EDGE_SIDES = ((8.0, 8.0), (4.0, 16.0), (16.0, 16.0), (8.0, 32.0),
+              (32.0, 32.0), (16.0, 64.0))   # areas 64, 256 and 1024 exactly
+
+
+def bucket_edge_scene(seed):
+    """Gt areas sit exactly on the bucket edges; some dets copy them, so
+    their areas do too."""
+    rng = Rng(seed)
+    gts, dets = [], []
+    for _ in range(18):
+        w, h = EDGE_SIDES[rng.randint(0, len(EDGE_SIDES) - 1)]
+        box = (rng.uniform(0, 200), rng.uniform(0, 200), w, h)
+        gts.append(gt(1, 1, *box))
+        if rng.random() < 0.5:
+            dets.append(Detection(1, 1, box, rng.uniform(0.1, 0.9)))
+        else:
+            dets.append(jittered(rng, 1, 1, box, 0.1, rng.uniform(0.1, 0.9)))
+        if rng.random() < 0.3:   # an unmatched det whose area is an edge value
+            dets.append(Detection(1, 1, (rng.uniform(300, 400), 0.0, w, h),
+                                  rng.uniform(0.1, 0.9)))
+    return dets, gts
+
+
+def threshold_edge_scene(seed):
+    """Integer boxes whose det keeps 1/2, 3/4 or 4/5 of the gt height, so
+    IoU lands exactly on the 0.50, 0.75 or 0.80 threshold."""
+    rng = Rng(seed)
+    gts, dets = [], []
+    for k in range(15):
+        w, h = (4.0, 8.0, 16.0, 20.0)[rng.randint(0, 3)], 20.0
+        x, y = float(30 * k), float(rng.randint(0, 100))
+        gts.append(gt(1, 1, x, y, w, h))
+        keep = (10.0, 15.0, 16.0)[rng.randint(0, 2)]
+        dets.append(Detection(1, 1, (x, y, w, keep), rng.uniform(0.1, 0.9)))
+    return dets, gts
+
+
+def test_iou_exactly_at_threshold_matches():
+    dets, gts = threshold_edge_scene(1)
+    r = ap_report(dets, gts).to_dict()
+    assert r["ap50"] == 1.0 and r["tp"] == len(gts)
+
+
+def ignored_gt_scene(seed):
+    """Nested gt pairs from neighbouring buckets: the det overlaps the outer
+    gt more, so in the inner gt's bucket the ignored outer gt overlaps it
+    more than the real one it must match."""
+    rng = Rng(seed)
+    gts, dets = [], []
+    for k in range(12):
+        inner = rng.uniform(6.2, 7.9)    # bucket vt
+        outer = rng.uniform(8.05, 8.6)   # bucket t; IoU with inner >= 0.51
+        x, y = 20.0 * k + rng.uniform(0, 5), rng.uniform(0, 150)
+        pair = [gt(1, 1, x, y, inner, inner), gt(1, 1, x, y, outer, outer)]
+        gts += pair if rng.random() < 0.5 else pair[::-1]
+        dets.append(Detection(1, 1, (x, y, outer, outer), rng.uniform(0.1, 0.9)))
+    return dets, gts
+
+
+def test_ignored_gt_does_not_displace_a_real_match():
+    dets, gts = ignored_gt_scene(1)
+    r = ap_report(dets, gts).to_dict()
+    # each det takes its outer gt at IoU 1, but in bucket vt it must take
+    # the inner one; at IoU 0.50 half the gts stay unmatched
+    assert r["ap_vt"] == r["ap_t"] == 1.0
+    assert (r["tp"], r["fn"]) == (12, 12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("make", [duplicate_gt_scene, equal_score_scene,
+                                  bucket_edge_scene, threshold_edge_scene,
+                                  ignored_gt_scene])
+def test_report_matches_brute_force_on_ties_and_edges(make, seed):
+    dets, gts = make(seed)
+    assert_matches_oracle(dets, gts, 100)
+
+
+@pytest.mark.parametrize("max_dets", [1, 3, 7])
+def test_report_matches_brute_force_when_max_dets_cuts_groups(max_dets):
+    (dets, gts), (dets2, gts2) = equal_score_scene(4), duplicate_gt_scene(4)
+    dets, gts = dets + dets2, gts + gts2
+    assert max(sum(1 for d in dets if (d.image_id, d.category_id) == k)
+               for k in {(d.image_id, d.category_id) for d in dets}) > max_dets
+    assert_matches_oracle(dets, gts, max_dets)
+
+
+def test_report_matches_brute_force_on_a_dense_image():
+    spec = SceneSpec(width=160, height=160, n_clusters=8, objects_per_cluster=(26, 26),
+                     object_size=(2, 24), cluster_spread=9.0, seed=5)
+    _, gts = generate_scene(spec)
+    assert len(gts) >= 200
+    dets = perturb_detections(gts, jitter_px=1.5, drop_rate=0.1, score_noise=0.05, seed=5)
+    rng = Rng(5)
+    dets += [Detection(1, 1, (rng.uniform(0, 150), rng.uniform(0, 150), 4.0, 4.0),
+                       rng.uniform(0.0, 1.0)) for _ in range(30)]
+    r = assert_matches_oracle(dets, gts, 1500)
+    assert r["tp"] > 100 and r["fp"] >= 30
 
 
 def test_report_validation():

@@ -177,6 +177,17 @@ def test_load_rejects_degenerate_boxes(tmp_path):
         load_annotation_file(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+def test_load_rejects_non_finite_bbox_before_clamping(tmp_path, bad, slot):
+    bbox = [1.0, 2.0, 3.0, 4.0]
+    bbox[slot] = bad    # written as the JSON literal NaN, Infinity or -Infinity
+    path = write_doc(tmp_path, doc_with([
+        {"id": 6, "image_id": 1, "category_id": 1, "bbox": bbox}]))
+    with pytest.raises(FormatError, match="annotation 6: non-finite bbox"):
+        load_annotation_file(path)
+
+
 def test_load_rejects_malformed_documents(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
