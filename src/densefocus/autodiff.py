@@ -1,13 +1,21 @@
 """Reverse-mode automatic differentiation over the ops in :mod:`.ops`.
 
 A :class:`Var` wraps a float64 ndarray plus the tape links needed to run
-vector-Jacobian products.  The functional wrappers below dispatch on input
-type: plain ndarrays short-circuit to the raw numpy op, Vars record the op
-on the tape.  Module forwards are therefore written once and work both as
-fast inference code and as differentiable graphs.
+vector-Jacobian products.  Each differentiable op is defined once, by
+``defop(forward, *vjps)``, in the idiom of HIPS autograd ``defvjp`` and JAX
+``custom_vjp``: ``forward`` is the plain numpy kernel and ``vjps[i]`` maps
+the output cotangent to the cotangent of positional argument ``i``.  A call
+with no Var among its positional arguments returns ``forward(*args)``
+untouched; otherwise the op records one tape node.  Blocks composed from
+registered ops (the attention gates, the depthwise-separable conv) need no
+registration of their own.  Module forwards are therefore written once and
+work both as fast inference code and as differentiable graphs.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -67,12 +75,34 @@ class Var:
         return f"Var(shape={self.value.shape}, grad={'set' if self.grad is not None else 'None'})"
 
 
-def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else ops.as_tensor(x)
+def value_of(x, name: str = "tensor") -> np.ndarray:
+    """The array behind ``x``: a Var's value, or ``x`` as a float64 array."""
+    return x.value if isinstance(x, Var) else ops.as_tensor(x, name)
 
 
-def _any_var(*xs) -> bool:
-    return any(isinstance(x, Var) for x in xs)
+def shape_of(x, name: str = "tensor") -> tuple:
+    return value_of(x, name).shape
+
+
+def defop(forward, *vjps):
+    """Register ``forward`` as a differentiable op.
+
+    ``vjps[i](g, out, *args, **kwargs)`` returns the cotangent of positional
+    argument ``i`` for the output cotangent ``g``, given the forward output
+    and the call's arguments with every Var replaced by its value.  ``None``
+    (or a missing entry) marks an argument without a gradient.  Keyword
+    arguments are passed through to the forward and the vjps unchanged.
+    """
+    @functools.wraps(forward)
+    def op(*args, **kwargs):
+        if not any(isinstance(a, Var) for a in args):
+            return forward(*args, **kwargs)
+        values = [a.value if isinstance(a, Var) else a for a in args]
+        out = forward(*values, **kwargs)
+        return Var(out, [(a, lambda g, fn=fn: fn(g, out, *values, **kwargs))
+                         for a, fn in zip(args, vjps)
+                         if fn is not None and isinstance(a, Var)])
+    return op
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -203,204 +233,108 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0,
 # ---------------------------------------------------------------------------
 # elementwise / structural primitives
 
-def add(a, b):
-    if not _any_var(a, b):
-        return _value(a) + _value(b)
-    av, bv = _value(a), _value(b)
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(g, bv.shape)))
-    return Var(av + bv, parents)
+def _elementwise(fn):
+    return lambda a, b: fn(ops.as_tensor(a), ops.as_tensor(b))
 
 
-def subtract(a, b):
-    if not _any_var(a, b):
-        return _value(a) - _value(b)
-    av, bv = _value(a), _value(b)
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(g, av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(-g, bv.shape)))
-    return Var(av - bv, parents)
+add = defop(_elementwise(np.add),
+            lambda g, out, a, b: _unbroadcast(g, a.shape),
+            lambda g, out, a, b: _unbroadcast(g, b.shape))
+subtract = defop(_elementwise(np.subtract),
+                 lambda g, out, a, b: _unbroadcast(g, a.shape),
+                 lambda g, out, a, b: _unbroadcast(-g, b.shape))
+multiply = defop(_elementwise(np.multiply),
+                 lambda g, out, a, b: _unbroadcast(g * b, a.shape),
+                 lambda g, out, a, b: _unbroadcast(g * a, b.shape))
+scale = defop(lambda x, s: ops.as_tensor(x) * float(s),
+              lambda g, out, x, s: g * float(s))
+reshape = defop(lambda x, shape: ops.as_tensor(x).reshape(shape),
+                lambda g, out, x, shape: g.reshape(x.shape))
 
 
-def multiply(a, b):
-    if not _any_var(a, b):
-        return _value(a) * _value(b)
-    av, bv = _value(a), _value(b)
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(g * bv, av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(g * av, bv.shape)))
-    return Var(av * bv, parents)
+def _transpose2d(x):
+    v = ops.as_tensor(x)
+    if v.ndim != 2:
+        raise InvalidArgumentError(f"transpose2d: expected 2-D, got {v.shape}")
+    return v.T.copy()
 
 
-def scale(x, s: float):
-    s = float(s)
-    if not isinstance(x, Var):
-        return _value(x) * s
-    return Var(x.value * s, [(x, lambda g: g * s)])
+transpose2d = defop(_transpose2d, lambda g, out, x: g.T)
 
 
-def reshape(x, shape):
-    if not isinstance(x, Var):
-        return _value(x).reshape(shape)
-    old = x.value.shape
-    return Var(x.value.reshape(shape), [(x, lambda g: g.reshape(old))])
-
-
-def transpose2d(x):
-    if not isinstance(x, Var):
-        v = _value(x)
-        if v.ndim != 2:
-            raise InvalidArgumentError(f"transpose2d: expected 2-D, got {v.shape}")
-        return v.T.copy()
-    if x.value.ndim != 2:
-        raise InvalidArgumentError(f"transpose2d: expected 2-D, got {x.value.shape}")
-    return Var(x.value.T.copy(), [(x, lambda g: g.T)])
-
-
-def chw_to_rows(x):
+def _chw_to_rows(x):
     """[C,H,W] -> [H*W, C] row-major pixel rows."""
-    if not isinstance(x, Var):
-        v = ops.require_chw(_value(x), "chw_to_rows input")
-        return np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
-    v = ops.require_chw(x.value, "chw_to_rows input")
-    c, h, w = v.shape
-    out = np.ascontiguousarray(v.reshape(c, h * w).T)
-    return Var(out, [(x, lambda g: np.ascontiguousarray(g.T).reshape(c, h, w))])
+    v = ops.require_chw(ops.as_tensor(x), "chw_to_rows input")
+    return np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
 
 
-def rows_to_chw(x, chw_shape):
+chw_to_rows = defop(_chw_to_rows,
+                    lambda g, out, x: np.ascontiguousarray(g.T).reshape(x.shape))
+
+
+def _rows_to_chw(x, chw_shape):
     """[H*W, C] -> [C,H,W]; inverse of :func:`chw_to_rows`."""
     c, h, w = chw_shape
-    if not isinstance(x, Var):
-        v = _value(x)
-        if v.shape != (h * w, c):
-            raise InvalidArgumentError(f"rows_to_chw: shape {v.shape} != ({h * w},{c})")
-        return np.ascontiguousarray(v.T).reshape(c, h, w)
-    v = x.value
+    v = ops.as_tensor(x)
     if v.shape != (h * w, c):
         raise InvalidArgumentError(f"rows_to_chw: shape {v.shape} != ({h * w},{c})")
-    out = np.ascontiguousarray(v.T).reshape(c, h, w)
-    return Var(out, [(x, lambda g: np.ascontiguousarray(g.reshape(c, h * w).T))])
+    return np.ascontiguousarray(v.T).reshape(c, h, w)
 
 
-def concat_channels(a, b):
-    if not _any_var(a, b):
-        return np.concatenate([_value(a), _value(b)], axis=0)
-    av, bv = _value(a), _value(b)
-    ca = av.shape[0]
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: g[:ca]))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: g[ca:]))
-    return Var(np.concatenate([av, bv], axis=0), parents)
+rows_to_chw = defop(
+    _rows_to_chw,
+    lambda g, out, x, chw_shape: np.ascontiguousarray(g.reshape(chw_shape[0], -1).T))
+concat_channels = defop(
+    lambda a, b: np.concatenate([ops.as_tensor(a), ops.as_tensor(b)], axis=0),
+    lambda g, out, a, b: g[:a.shape[0]],
+    lambda g, out, a, b: g[np.shape(a)[0]:])
+sum_all = defop(lambda x: np.asarray(ops.as_tensor(x).sum()),
+                lambda g, out, x: np.full(x.shape, float(g)))
+mean_all = defop(lambda x: np.asarray(ops.as_tensor(x).mean()),
+                 lambda g, out, x: np.full(x.shape, float(g) / x.size))
 
 
-def sum_all(x):
-    if not isinstance(x, Var):
-        return np.asarray(_value(x).sum())
-    shape = x.value.shape
-    return Var(np.asarray(x.value.sum()), [(x, lambda g: np.full(shape, float(g)))])
-
-
-def mean_all(x):
-    if not isinstance(x, Var):
-        return np.asarray(_value(x).mean())
-    shape = x.value.shape
-    n = x.value.size
-    return Var(np.asarray(x.value.mean()),
-               [(x, lambda g: np.full(shape, float(g) / n))])
-
-
-def mean_axes(x, axes, keepdims: bool = False):
+def _mean_axes_vjp(g, out, x, axes, keepdims=False):
     axes = tuple(axes)
-    if not isinstance(x, Var):
-        return _value(x).mean(axis=axes, keepdims=keepdims)
-    shape = x.value.shape
-    count = 1
-    for ax in axes:
-        count *= shape[ax]
-
-    def vjp_fn(g):
-        gg = g if keepdims else np.expand_dims(g, axes)
-        return np.broadcast_to(gg / count, shape).copy()
-
-    return Var(x.value.mean(axis=axes, keepdims=keepdims), [(x, vjp_fn)])
+    gg = g if keepdims else np.expand_dims(g, axes)
+    return np.broadcast_to(gg / math.prod(x.shape[ax] for ax in axes), x.shape).copy()
 
 
-def max_channels(x):
-    """Channelwise max of a [C,H,W] map -> [1,H,W]; subgradient goes to the
-    first attaining channel."""
-    if not isinstance(x, Var):
-        return _value(x).max(axis=0, keepdims=True)
-    v = x.value
-    idx = v.argmax(axis=0)
+mean_axes = defop(lambda x, axes, keepdims=False:
+                  ops.as_tensor(x).mean(axis=tuple(axes), keepdims=keepdims),
+                  _mean_axes_vjp)
 
-    def vjp_fn(g):
-        dx = np.zeros_like(v)
-        np.put_along_axis(dx, idx[None], g, axis=0)
-        return dx
 
-    return Var(v.max(axis=0, keepdims=True), [(x, vjp_fn)])
+def _max_channels_vjp(g, out, x):
+    dx = np.zeros_like(x)
+    np.put_along_axis(dx, x.argmax(axis=0)[None], g, axis=0)
+    return dx
+
+
+# Channelwise max of a [C,H,W] map -> [1,H,W]; the subgradient goes to the
+# first attaining channel.
+max_channels = defop(lambda x: ops.as_tensor(x).max(axis=0, keepdims=True),
+                     _max_channels_vjp)
 
 
 # ---------------------------------------------------------------------------
-# activations
+# activations, linear algebra, spectral
 
-def sigmoid(x):
-    if not isinstance(x, Var):
-        return ops.sigmoid(x)
-    out = ops.sigmoid(x.value)
-    return Var(out, [(x, lambda g: g * out * (1.0 - out))])
-
-
-def relu(x):
-    if not isinstance(x, Var):
-        return ops.relu(x)
-    mask = x.value > 0.0
-    return Var(ops.relu(x.value), [(x, lambda g: g * mask)])
-
-
-def softmax(x, axis: int = -1):
-    if not isinstance(x, Var):
-        return ops.softmax(x, axis)
-    out = ops.softmax(x.value, axis)
-
-    def vjp_fn(g):
-        return out * (g - (g * out).sum(axis=axis, keepdims=True))
-
-    return Var(out, [(x, vjp_fn)])
+sigmoid = defop(ops.sigmoid, lambda g, out, x: g * out * (1.0 - out))
+relu = defop(ops.relu, lambda g, out, x: g * (x > 0.0))
+softmax = defop(ops.softmax, lambda g, out, x, axis=-1:
+                out * (g - (g * out).sum(axis=axis, keepdims=True)))
+matmul = defop(ops.matmul, lambda g, out, a, b: g @ b.T, lambda g, out, a, b: a.T @ g)
+dct2 = defop(ops.dct2, lambda g, out, x: ops.idct2(g))
+idct2 = defop(ops.idct2, lambda g, out, x: ops.dct2(g))
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# convolution / pooling / resampling
 
-def matmul(a, b):
-    if not _any_var(a, b):
-        return ops.matmul(a, b)
-    av, bv = _value(a), _value(b)
-    out = ops.matmul(av, bv)
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: g @ bv.T))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: av.T @ g))
-    return Var(out, parents)
-
-
-# ---------------------------------------------------------------------------
-# convolution / pooling / resampling vjps
-
-def _conv2d_vjp_x(g, weight, x_shape, stride, pad):
+def _conv2d_vjp_x(g, out, x, weight, bias=None, stride=1, pad=0):
     c_out, c_in, kh, kw = weight.shape
-    c, h, w = x_shape
+    c, h, w = x.shape
     out_h, out_w = g.shape[1], g.shape[2]
     gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
     for ky in range(kh):
@@ -410,8 +344,8 @@ def _conv2d_vjp_x(g, weight, x_shape, stride, pad):
     return gp[:, pad:pad + h, pad:pad + w]
 
 
-def _conv2d_vjp_w(g, x, w_shape, stride, pad):
-    c_out, c_in, kh, kw = w_shape
+def _conv2d_vjp_w(g, out, x, weight, bias=None, stride=1, pad=0):
+    c_out, c_in, kh, kw = weight.shape
     c, h, w = x.shape
     out_h, out_w = g.shape[1], g.shape[2]
     if pad:
@@ -419,7 +353,7 @@ def _conv2d_vjp_w(g, x, w_shape, stride, pad):
         xp[:, pad:pad + h, pad:pad + w] = x
     else:
         xp = x
-    dw = np.empty(w_shape)
+    dw = np.empty(weight.shape)
     for ky in range(kh):
         for kx in range(kw):
             patch = xp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride]
@@ -427,24 +361,14 @@ def _conv2d_vjp_w(g, x, w_shape, stride, pad):
     return dw
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0):
-    if not _any_var(x, weight, bias):
-        return ops.conv2d(x, weight, bias, stride, pad)
-    xv, wv = _value(x), _value(weight)
-    bv = _value(bias) if bias is not None else None
-    out = ops.conv2d(xv, wv, bv, stride, pad)
-    parents = []
-    if isinstance(x, Var):
-        parents.append((x, lambda g: _conv2d_vjp_x(g, wv, xv.shape, stride, pad)))
-    if isinstance(weight, Var):
-        parents.append((weight, lambda g: _conv2d_vjp_w(g, xv, wv.shape, stride, pad)))
-    if isinstance(bias, Var):
-        parents.append((bias, lambda g: g.sum(axis=(1, 2))))
-    return Var(out, parents)
+conv2d = defop(ops.conv2d, _conv2d_vjp_x, _conv2d_vjp_w,
+               lambda g, out, *args, **kwargs: g.sum(axis=(1, 2)))
 
 
-def _avg_pool_vjp(g, x_shape, k, stride):
-    c, h, w = x_shape
+def _avg_pool_vjp(g, out, x, k, stride=None):
+    if stride is None:
+        stride = k
+    c, h, w = x.shape
     out_h, out_w = g.shape[1], g.shape[2]
     pad_h = (out_h - 1) * stride + k - h
     pad_w = (out_w - 1) * stride + k - w
@@ -464,114 +388,71 @@ def _avg_pool_vjp(g, x_shape, k, stride):
     return dx
 
 
-def avg_pool(x, k: int, stride: int | None = None):
-    if stride is None:
-        stride = k
-    if not isinstance(x, Var):
-        return ops.avg_pool(x, k, stride)
-    out = ops.avg_pool(x.value, k, stride)
-    shape = x.value.shape
-    return Var(out, [(x, lambda g: _avg_pool_vjp(g, shape, k, stride))])
+avg_pool = defop(ops.avg_pool, _avg_pool_vjp)
+
+
+def _depthwise_vjp_x(g, out, x, weight):
+    c, h, w = x.shape
+    k = weight.shape[2]
+    pad = (k - 1) // 2
+    gp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    for ky in range(k):
+        for kx in range(k):
+            gp[:, ky:ky + h, kx:kx + w] += weight[:, 0, ky, kx][:, None, None] * g
+    return gp[:, pad:pad + h, pad:pad + w]
+
+
+def _depthwise_vjp_w(g, out, x, weight):
+    c, h, w = x.shape
+    k = weight.shape[2]
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    dw = np.empty_like(weight)
+    for ky in range(k):
+        for kx in range(k):
+            dw[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + w]).sum(axis=(1, 2))
+    return dw
+
+
+depthwise_conv = defop(ops.depthwise_conv, _depthwise_vjp_x, _depthwise_vjp_w)
 
 
 def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None):
-    if not _any_var(x, dw_weight, pw_weight, pw_bias):
-        return ops.depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias)
-    mid = _depthwise(x, dw_weight)
-    return conv2d(mid, pw_weight, pw_bias, stride=1, pad=0)
+    """:func:`depthwise_conv` followed by a 1x1 pointwise conv."""
+    return conv2d(depthwise_conv(x, dw_weight), pw_weight, pw_bias, 1, 0)
 
 
-def _depthwise(x, dw_weight):
-    """Depthwise 'same' stage as a standalone graph op."""
-    xv, wv = _value(x), _value(dw_weight)
-    c, h, w = xv.shape
-    k = wv.shape[2]
-    pad = (k - 1) // 2
-
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = xv
-    out = np.zeros((c, h, w))
-    for ky in range(k):
-        for kx in range(k):
-            out += wv[:, 0, ky, kx][:, None, None] * xp[:, ky:ky + h, kx:kx + w]
-
-    if not _any_var(x, dw_weight):
-        return out
-    parents = []
-    if isinstance(x, Var):
-        def vjp_x(g):
-            gp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-            for ky in range(k):
-                for kx in range(k):
-                    gp[:, ky:ky + h, kx:kx + w] += wv[:, 0, ky, kx][:, None, None] * g
-            return gp[:, pad:pad + h, pad:pad + w]
-        parents.append((x, vjp_x))
-    if isinstance(dw_weight, Var):
-        def vjp_w(g):
-            dwg = np.empty_like(wv)
-            for ky in range(k):
-                for kx in range(k):
-                    dwg[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + w]).sum(axis=(1, 2))
-            return dwg
-        parents.append((dw_weight, vjp_w))
-    return Var(out, parents)
-
-
-def _bilinear_vjp(g, x_shape, out_h, out_w):
-    c, h, w = x_shape
-
-    def axis_coords(n_in, n_out):
-        if n_out == 1:
-            src = np.array([0.5 * (n_in - 1)])
-        else:
-            src = np.arange(n_out, dtype=np.float64) * ((n_in - 1) / (n_out - 1))
-        lo = np.clip(np.floor(src).astype(np.int64), 0, n_in - 1)
-        hi = np.minimum(lo + 1, n_in - 1)
-        return lo, hi, src - lo
-
-    y0, y1, fy = axis_coords(h, out_h)
-    x0, x1, fx = axis_coords(w, out_w)
-    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]
-    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]
-    dx = np.zeros(x_shape)
-    for yi, wy in ((y0, wy0), (y1, wy1)):
-        for xi, wx in ((x0, wx0), (x1, wx1)):
-            np.add.at(dx, (slice(None), yi[:, None], xi[None, :]), g * (wy * wx))
+def _bilinear_vjp(g, out, x, out_h, out_w):
+    if out.shape == x.shape:
+        return g
+    dx = np.zeros(x.shape)
+    for yi, xi, wt in ops.bilinear_taps(x.shape[1], x.shape[2], out_h, out_w):
+        np.add.at(dx, (slice(None), yi[:, None], xi[None, :]), g * wt)
     return dx
 
 
-def bilinear_resize(x, out_h: int, out_w: int):
-    if not isinstance(x, Var):
-        return ops.bilinear_resize(x, out_h, out_w)
-    out = ops.bilinear_resize(x.value, out_h, out_w)
-    shape = x.value.shape
-    if (out_h, out_w) == shape[1:]:
-        return Var(out, [(x, lambda g: g)])
-    return Var(out, [(x, lambda g: _bilinear_vjp(g, shape, out_h, out_w))])
+bilinear_resize = defop(ops.bilinear_resize, _bilinear_vjp)
 
 
 # ---------------------------------------------------------------------------
-# spectral
-
-def dct2(x):
-    if not isinstance(x, Var):
-        return ops.dct2(x)
-    return Var(ops.dct2(x.value), [(x, lambda g: ops.idct2(g))])
-
-
-def idct2(x):
-    if not isinstance(x, Var):
-        return ops.idct2(x)
-    return Var(ops.idct2(x.value), [(x, lambda g: ops.dct2(g))])
-
-
-# ---------------------------------------------------------------------------
-# attention blocks (composed from primitives so gradients flow)
+# attention blocks (composed from registered ops, so gradients flow)
 
 def channel_attention(x, w_reduce, w_expand):
-    if not _any_var(x, w_reduce, w_expand):
-        return ops.channel_attention(x, w_reduce, w_expand)
-    c = _value(x).shape[0]
+    """Squeeze-and-excitation channel gate.
+
+    Global average -> linear (C -> mid) -> ReLU -> linear (mid -> C) ->
+    sigmoid -> per-channel rescale of the input.
+    """
+    c = ops.require_chw(value_of(x, "channel_attention input"),
+                        "channel_attention input").shape[0]
+    r_shape = shape_of(w_reduce, "w_reduce")
+    if len(r_shape) != 2 or r_shape[1] != c:
+        raise InvalidArgumentError(
+            f"channel_attention: w_reduce shape {r_shape} incompatible with C={c}")
+    if shape_of(w_expand, "w_expand") != (c, r_shape[0]):
+        raise InvalidArgumentError(
+            f"channel_attention: w_expand shape {shape_of(w_expand)} != ({c},{r_shape[0]})")
     squeeze = reshape(mean_axes(x, (1, 2)), (c, 1))
     hidden = relu(matmul(w_reduce, squeeze))
     gate = sigmoid(matmul(w_expand, hidden))
@@ -579,9 +460,16 @@ def channel_attention(x, w_reduce, w_expand):
 
 
 def spatial_attention(x, w_conv):
-    if not _any_var(x, w_conv):
-        return ops.spatial_attention(x, w_conv)
-    k = _value(w_conv).shape[2]
+    """Spatial gate: channel mean & max stacked into a 2-channel map, odd
+    'same' conv to 1 channel, sigmoid, broadcast rescale."""
+    ops.require_chw(value_of(x, "spatial_attention input"), "spatial_attention input")
+    w_shape = shape_of(w_conv, "spatial conv weight")
+    if len(w_shape) != 4 or w_shape[:2] != (1, 2):
+        raise InvalidArgumentError(
+            f"spatial_attention: weight must be [1,2,k,k], got {w_shape}")
+    k = w_shape[2]
+    if w_shape[3] != k or k % 2 == 0:
+        raise InvalidArgumentError("spatial_attention: kernel must be square and odd")
     stacked = concat_channels(mean_axes(x, (0,), keepdims=True), max_channels(x))
-    gate = sigmoid(conv2d(stacked, w_conv, None, stride=1, pad=(k - 1) // 2))
+    gate = sigmoid(conv2d(stacked, w_conv, None, 1, (k - 1) // 2))
     return multiply(x, gate)

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from .dafm import DafmParams, dafm_forward, dafm_params, expected_agents
-from .density import (BBoxAnnotation, DgbConfig, calib_params, calibrate_density,
-                      density_loss, dgb_forward, dgb_params, gt_density, total_loss)
+from .dafm import dafm_forward, dafm_params, expected_agents
+from .density import (DgbConfig, calib_params, calibrate_density, density_loss,
+                      dgb_forward, dgb_params, gt_density, total_loss)
 from .dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params
 from .errors import (DenseFocusError, FormatError, InvalidArgumentError,
                      NumericError, UnsupportedOperationError)
@@ -51,12 +51,19 @@ def _load_json(path, label: str) -> dict:
     return doc
 
 
-def _resolve_seed(args, file_seed=None, default=0) -> int:
-    if args.seed is not None:
-        return args.seed
-    if file_seed is not None:
-        return int(file_seed)
-    return default
+def _num_field(doc: dict, key: str, default, integer: bool = True):
+    """A numeric field of a spec/params file; integral floats such as 7.0
+    pass as integers.  Any other value is a format error."""
+    value = doc.get(key, default)
+    if type(value) not in (int, float) or (
+            integer and type(value) is float and not value.is_integer()):
+        kind = "an integer" if integer else "a number"
+        raise FormatError(f"field {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _resolve_seed(args, doc: dict) -> int:
+    return args.seed if args.seed is not None else _num_field(doc, "seed", 0)
 
 
 def _verbose(args, msg: str) -> None:
@@ -76,7 +83,7 @@ def cmd_synth(args) -> int:
             objects_per_cluster=tuple(doc.get("objects_per_cluster", (4, 10))),
             object_size=tuple(doc.get("object_size", (4, 16))),
             cluster_spread=float(doc.get("cluster_spread", 8.0)),
-            seed=_resolve_seed(args, doc.get("seed"), 0))
+            seed=_resolve_seed(args, doc))
     except KeyError as exc:
         raise FormatError(f"scene spec {args.spec}: missing field {exc}")
     os.makedirs(args.out_dir, exist_ok=True)
@@ -115,8 +122,7 @@ def cmd_gt_density(args) -> int:
 
 def cmd_calibrate(args) -> int:
     doc = _load_json(args.params, "calibrate params")
-    seed = _resolve_seed(args, doc.get("seed"), 0)
-    params = calib_params(seed, c_mid=int(doc.get("c_mid", 4)))
+    params = calib_params(_resolve_seed(args, doc), c_mid=_num_field(doc, "c_mid", 4))
     d = read_tensor(args.density)
     out = calibrate_density(d, params)
     _ensure_finite(out.values, "calibrated density")
@@ -142,19 +148,19 @@ def cmd_select_regions(args) -> int:
 
 def cmd_dafm(args) -> int:
     doc = _load_json(args.params, "attention params")
-    seed = _resolve_seed(args, doc.get("seed"), 0)
+    seed = _resolve_seed(args, doc)
     x = read_tensor(args.features)
     if x.ndim != 3:
         raise InvalidArgumentError(f"dafm: features must be 3-D, got shape {x.shape}")
     d = read_tensor(args.density)
-    bank_kernel = int(doc.get("bank_kernel", 7))
+    bank_kernel = _num_field(doc, "bank_kernel", 7)
     n_agents = expected_agents(x.shape[1], x.shape[2], bank_kernel)
-    params = dafm_params(x.shape[0], int(doc.get("embed", x.shape[0])), n_agents,
-                         seed, dw_kernel=int(doc.get("dw_kernel", 3)))
+    params = dafm_params(x.shape[0], _num_field(doc, "embed", x.shape[0]), n_agents,
+                         seed, dw_kernel=_num_field(doc, "dw_kernel", 3))
     out, inter = dafm_forward(
         x, d, params,
         thresh_mode=doc.get("thresh_mode", "quantile"),
-        thresh_value=float(doc.get("thresh_value", 0.10)),
+        thresh_value=_num_field(doc, "thresh_value", 0.10, integer=False),
         bank_kernel=bank_kernel, return_intermediates=True)
     _ensure_finite(out, "dafm output")
     write_tensor(args.out, out)
@@ -176,7 +182,7 @@ def cmd_dafm(args) -> int:
 
 def cmd_dffm(args) -> int:
     doc = _load_json(args.params, "fusion params")
-    seed = _resolve_seed(args, doc.get("seed"), 0)
+    seed = _resolve_seed(args, doc)
     p = read_tensor(args.features)
     if p.ndim != 3:
         raise InvalidArgumentError(f"dffm: features must be 3-D, got shape {p.shape}")
@@ -186,8 +192,8 @@ def cmd_dffm(args) -> int:
     except ValueError:
         raise InvalidArgumentError(f"dffm: bad --kernels value {args.kernels!r}")
     params = dffm_params(p.shape[0], kernel_set, seed,
-                         ca_reduction=int(doc.get("ca_reduction", 4)),
-                         sa_kernel=int(doc.get("sa_kernel", 7)))
+                         ca_reduction=_num_field(doc, "ca_reduction", 4),
+                         sa_kernel=_num_field(doc, "sa_kernel", 7))
     out = dffm_forward(p, d, params, kernel_set)
     _ensure_finite(out, "dffm output")
     write_tensor(args.out, out)
@@ -408,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the seed from spec/params files")
     parser.add_argument("--verbose", action="store_true",
                         help="progress diagnostics on stderr")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count; current commands are single-image, "
-                             "results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
@@ -490,8 +493,6 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.jobs < 1:
-            raise InvalidArgumentError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,16 +13,6 @@ from . import ops
 from .dafm import ifam_params, ifam_stage1, ifam_stage2, project_qkv
 from .errors import InvalidArgumentError
 from .params import seeded_uniform
-from .rng import Rng
-
-
-def _seeded_map(channels: int, h: int, w: int, seed: int) -> np.ndarray:
-    rng = Rng(seed).derive("complexity.map")
-    arr = np.empty((channels, h, w))
-    flat = arr.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = rng.uniform(-1.0, 1.0)
-    return arr
 
 
 def measured_ifam_macs(h: int, w: int, channels: int, embed: int,
@@ -32,7 +22,7 @@ def measured_ifam_macs(h: int, w: int, channels: int, embed: int,
     the output projection."""
     if min(h, w, channels, embed, n_agents) < 1:
         raise InvalidArgumentError("measured_ifam_macs: all sizes must be >= 1")
-    x = _seeded_map(channels, h, w, seed)
+    x = seeded_uniform(seed, "complexity.map", (channels, h, w), 1)
     params = ifam_params(channels, embed, n_agents, seed)
     bank_rows = seeded_uniform(seed, "complexity.bank", (n_agents, channels), channels)
     with ops.count_macs() as counter:
@@ -51,7 +41,7 @@ def measured_global_attention_macs(h: int, w: int, channels: int, embed: int,
     the output projection."""
     if min(h, w, channels, embed) < 1:
         raise InvalidArgumentError("measured_global_attention_macs: sizes must be >= 1")
-    x = _seeded_map(channels, h, w, seed)
+    x = seeded_uniform(seed, "complexity.map", (channels, h, w), 1)
     w_q = seeded_uniform(seed, "global.w_q", (embed, channels), channels)
     w_k = seeded_uniform(seed, "global.w_k", (embed, channels), channels)
     w_v = seeded_uniform(seed, "global.w_v", (embed, channels), channels)

@@ -19,13 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .density import density_values
 from .errors import InvalidArgumentError
-from .ops import as_tensor, pool_output_extent
+from .ops import pool_output_extent
 from .params import seeded_uniform
 from .regions import RegionSet, focus_bank, refine_mask, threshold_mask
-
-
-def _shape(x):
-    return x.value.shape if isinstance(x, ad.Var) else np.shape(x)
 
 
 @dataclass
@@ -45,15 +41,15 @@ class IfamParams:
 
     @property
     def n_agents(self) -> int:
-        return _shape(self.bias_fwd)[0]
+        return ad.shape_of(self.bias_fwd)[0]
 
     @property
     def embed(self) -> int:
-        return _shape(self.w_query)[0]
+        return ad.shape_of(self.w_query)[0]
 
     @property
     def channels(self) -> int:
-        return _shape(self.w_query)[1]
+        return ad.shape_of(self.w_query)[1]
 
 
 def ifam_params(channels: int, embed: int, n_agents: int, seed: int) -> IfamParams:
@@ -78,7 +74,7 @@ def ifam_params(channels: int, embed: int, n_agents: int, seed: int) -> IfamPara
 
 def project_qkv(x, params: IfamParams):
     """Project a [C,H,W] map into per-pixel query/key/value rows [H*W, d]."""
-    c = _shape(x)[0]
+    c = ad.shape_of(x)[0]
     if params.channels != c:
         raise InvalidArgumentError(
             f"project_qkv: params expect C={params.channels}, input has C={c}")
@@ -95,15 +91,15 @@ def ifam_stage1(bank, keys, values, bias_fwd):
     bank is [n,d], keys/values are [L,d], bias_fwd is one scalar per agent
     added to that agent's whole score row.  Returns [n,d].
     """
-    n, d = _shape(bank)
-    ln, dk = _shape(keys)
-    if dk != d or _shape(values) != (ln, d):
+    n, d = ad.shape_of(bank)
+    ln, dk = ad.shape_of(keys)
+    if dk != d or ad.shape_of(values) != (ln, d):
         raise InvalidArgumentError(
             f"ifam_stage1: incompatible shapes bank{(n, d)} keys{(ln, dk)} "
-            f"values{_shape(values)}")
-    if _shape(bias_fwd) != (n,):
+            f"values{ad.shape_of(values)}")
+    if ad.shape_of(bias_fwd) != (n,):
         raise InvalidArgumentError(
-            f"ifam_stage1: bias shape {_shape(bias_fwd)} != ({n},)")
+            f"ifam_stage1: bias shape {ad.shape_of(bias_fwd)} != ({n},)")
     scores = ad.scale(ad.matmul(bank, ad.transpose2d(keys)), 1.0 / math.sqrt(d))
     gates = ad.sigmoid(ad.add(scores, ad.reshape(bias_fwd, (n, 1))))
     return ad.matmul(gates, values)
@@ -115,15 +111,15 @@ def ifam_stage2(queries, bank, gathered, bias_bwd):
     queries is [L,d], bank/gathered are [n,d], bias_bwd is one scalar per
     agent added to that agent's score column.  Returns [L,d].
     """
-    ln, d = _shape(queries)
-    n, db = _shape(bank)
-    if db != d or _shape(gathered) != (n, d):
+    ln, d = ad.shape_of(queries)
+    n, db = ad.shape_of(bank)
+    if db != d or ad.shape_of(gathered) != (n, d):
         raise InvalidArgumentError(
             f"ifam_stage2: incompatible shapes queries{(ln, d)} bank{(n, db)} "
-            f"gathered{_shape(gathered)}")
-    if _shape(bias_bwd) != (n,):
+            f"gathered{ad.shape_of(gathered)}")
+    if ad.shape_of(bias_bwd) != (n,):
         raise InvalidArgumentError(
-            f"ifam_stage2: bias shape {_shape(bias_bwd)} != ({n},)")
+            f"ifam_stage2: bias shape {ad.shape_of(bias_bwd)} != ({n},)")
     scores = ad.scale(ad.matmul(queries, ad.transpose2d(bank)), 1.0 / math.sqrt(d))
     gates = ad.sigmoid(ad.add(scores, ad.reshape(bias_bwd, (1, n))))
     return ad.matmul(gates, gathered)
@@ -158,6 +154,9 @@ def dafm_params(channels: int, embed: int, n_agents: int, seed: int,
 
 def expected_agents(h: int, w: int, bank_kernel: int = 7) -> int:
     """Bank size produced by :func:`dafm_forward` for an H x W input."""
+    if bank_kernel < 1:
+        raise InvalidArgumentError(
+            f"expected_agents: bank_kernel must be >= 1, got {bank_kernel}")
     return pool_output_extent(h, bank_kernel, bank_kernel) * \
         pool_output_extent(w, bank_kernel, bank_kernel)
 
@@ -182,7 +181,7 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     global branch, added to the always-on depthwise local branch.  With no
     selected regions the output is exactly the local branch.
     """
-    xv = x.value if isinstance(x, ad.Var) else as_tensor(x, "dafm input")
+    xv = ad.value_of(x, "dafm input")
     if xv.ndim != 3:
         raise InvalidArgumentError(f"dafm_forward: input must be [C,H,W], got {xv.shape}")
     c, h, w = xv.shape
@@ -200,8 +199,7 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
         return local
 
     bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel)
-    bank_h, bank_w_ = _shape(bank)[1], _shape(bank)[2]
-    n = bank_h * bank_w_
+    n = math.prod(ad.shape_of(bank)[1:])
     if params.ifam.n_agents != n:
         raise InvalidArgumentError(
             f"dafm_forward: params built for {params.ifam.n_agents} agents, "

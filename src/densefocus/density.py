@@ -144,8 +144,7 @@ def density_loss(pred, gt):
     """Mean squared error between two equal-shape density maps.  Returns a
     scalar (0-d array, or Var when either side is a graph node)."""
     p, g = _loss_operand(pred), _loss_operand(gt)
-    p_shape = p.value.shape if isinstance(p, ad.Var) else p.shape
-    g_shape = g.value.shape if isinstance(g, ad.Var) else g.shape
+    p_shape, g_shape = ad.shape_of(p), ad.shape_of(g)
     if p_shape != g_shape:
         raise InvalidArgumentError(
             f"density_loss: shape mismatch {p_shape} vs {g_shape}")
@@ -164,7 +163,7 @@ def total_loss(l_reg, l_cls, l_dense, weights=(1.0, 1.0, 1.0)):
             raise InvalidArgumentError(f"total_loss: bad weight {w}")
     for name, term in zip(("regression", "classification", "density"),
                           (l_reg, l_cls, l_dense)):
-        val = float(term.value) if isinstance(term, ad.Var) else float(term)
+        val = float(ad.value_of(term))
         if not (math.isfinite(val) and val >= 0.0):
             raise InvalidArgumentError(f"total_loss: {name} term is {val}")
     terms = [ad.scale(t, w) for t, w in zip((l_reg, l_cls, l_dense), weights)]
@@ -234,7 +233,7 @@ def dgb_forward(x, params, cfg: DgbConfig):
     H and W must be divisible by 2**encoder_stages.  Returns a DensityMap
     for concrete inputs, or the [1,H,W] graph node when differentiating.
     """
-    xv = x.value if isinstance(x, ad.Var) else as_tensor(x, "dgb input")
+    xv = ad.value_of(x, "dgb input")
     if xv.ndim != 3:
         raise InvalidArgumentError(f"dgb_forward: input must be [C,H,W], got {xv.shape}")
     h, w = xv.shape[1], xv.shape[2]
@@ -247,7 +246,7 @@ def dgb_forward(x, params, cfg: DgbConfig):
         cur = ad.relu(ad.conv2d(cur, params[f"enc{i}.w"], params[f"enc{i}.b"],
                                 stride=2, pad=1))
     for i in range(cfg.decoder_stages):
-        shape = cur.value.shape if isinstance(cur, ad.Var) else cur.shape
+        shape = ad.shape_of(cur)
         cur = ad.bilinear_resize(cur, shape[1] * 2, shape[2] * 2)
         cur = ad.relu(ad.conv2d(cur, params[f"dec{i}.w"], params[f"dec{i}.b"],
                                 stride=1, pad=1))

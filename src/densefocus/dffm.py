@@ -16,7 +16,7 @@ from typing import Sequence
 from . import autodiff as ad
 from .density import CalibParams, calib_params, calibrate_density, density_values
 from .errors import InvalidArgumentError
-from .ops import as_tensor, bilinear_resize
+from .ops import bilinear_resize
 from .params import seeded_uniform
 
 
@@ -60,15 +60,11 @@ def edh_params(channels: int, seed: int, tag: str = "0", ca_reduction: int = 4,
     )
 
 
-def _shape(x):
-    return x.value.shape if isinstance(x, ad.Var) else as_tensor(x).shape
-
-
 def frequency_masks(p, density, mask_w, mask_b):
     """Density-coupled band masks: M_low = sigmoid(1x1conv(P * D)),
     M_high = 1 - M_low (exact complement)."""
-    p_shape = _shape(p)
-    d_shape = _shape(density)
+    p_shape = ad.shape_of(p)
+    d_shape = ad.shape_of(density)
     if d_shape != (1,) + tuple(p_shape[1:]):
         raise InvalidArgumentError(
             f"frequency_masks: density shape {d_shape} does not match features {p_shape}")
@@ -94,7 +90,7 @@ def edh(freq: FrequencyPair, pooled, density_cal, params: EdhParams):
     density-gated cross product mixes the pooled features; the calibrated
     density is added back, broadcast over channels.
     """
-    c, h, w = _shape(pooled)
+    c, h, w = ad.shape_of(pooled)
     l = h * w
     f_low = ad.channel_attention(ad.idct2(freq.low), params.ca_reduce, params.ca_expand)
     f_high = ad.spatial_attention(ad.idct2(freq.high), params.sa_w)
@@ -149,7 +145,7 @@ def dffm_forward(p, density, params: DffmParams,
     resized paths, plus a 3x3 conv path, are summed in configuration order
     and mixed by a 1x1 conv.  An empty kernel_set leaves the conv path only.
     """
-    pv = p.value if isinstance(p, ad.Var) else as_tensor(p, "dffm input")
+    pv = ad.value_of(p, "dffm input")
     if pv.ndim != 3:
         raise InvalidArgumentError(f"dffm_forward: input must be [C,H,W], got {pv.shape}")
     c, h, w = pv.shape
@@ -173,7 +169,7 @@ def dffm_forward(p, density, params: DffmParams,
     total = None
     for k, path in zip(kernel_set, params.paths):
         pooled = ad.avg_pool(p, k, k)
-        ph, pw = _shape(pooled)[1], _shape(pooled)[2]
+        _, ph, pw = ad.shape_of(pooled)
         d_k = bilinear_resize(d_raw, ph, pw)
         dc_k = ad.bilinear_resize(d_cal, ph, pw)
         m_low, m_high = frequency_masks(pooled, d_k, path.mask_w, path.mask_b)

@@ -1,4 +1,7 @@
-"""Core numeric operations on [C, H, W] float64 feature maps.
+"""Core numeric kernels on [C, H, W] float64 feature maps.
+
+This module holds forward kernels only; :mod:`.autodiff` registers each
+differentiable one, with its vector-Jacobian products, through ``defop``.
 
 Conventions that the rest of the library leans on:
 
@@ -77,6 +80,25 @@ def require_chw(x: np.ndarray, name: str = "tensor") -> np.ndarray:
 # ---------------------------------------------------------------------------
 # resampling and pooling
 
+def bilinear_taps(h: int, w: int, out_h: int, out_w: int) -> list:
+    """The four (rows, cols, weight) taps of an align-corners resize from
+    h x w to out_h x out_w, ordered top-left, top-right, bottom-left,
+    bottom-right.  Output pixel (i, j) reads input (rows[i], cols[j]) with
+    weight[i, j]; the resize and its vjp both use this one table."""
+    def axis_coords(n_in, n_out):
+        if n_out == 1:
+            src = np.array([0.5 * (n_in - 1)])
+        else:
+            src = np.arange(n_out, dtype=np.float64) * ((n_in - 1) / (n_out - 1))
+        lo = np.clip(np.floor(src).astype(np.int64), 0, n_in - 1)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = src - lo
+        return (lo, 1.0 - frac), (hi, frac)
+
+    return [(yi, xi, wy[:, None] * wx[None, :])
+            for yi, wy in axis_coords(h, out_h) for xi, wx in axis_coords(w, out_w)]
+
+
 def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     """Align-corners bilinear resize of a [C,H,W] map to [C,out_h,out_w].
 
@@ -90,27 +112,9 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x.copy()
-
-    def axis_coords(n_in, n_out):
-        if n_out == 1:
-            src = np.array([0.5 * (n_in - 1)])
-        else:
-            src = np.arange(n_out, dtype=np.float64) * ((n_in - 1) / (n_out - 1))
-        lo = np.floor(src).astype(np.int64)
-        lo = np.clip(lo, 0, n_in - 1)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    y0, y1, fy = axis_coords(h, out_h)
-    x0, x1, fx = axis_coords(w, out_w)
-    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]
-    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]
-
-    top = x[:, y0][:, :, x0] * (wy0 * wx0) + x[:, y0][:, :, x1] * (wy0 * wx1)
-    bot = x[:, y1][:, :, x0] * (wy1 * wx0) + x[:, y1][:, :, x1] * (wy1 * wx1)
+    t = [x[:, yi][:, :, xi] * wt for yi, xi, wt in bilinear_taps(h, w, out_h, out_w)]
     _tally(4 * c * out_h * out_w)
-    return top + bot
+    return (t[0] + t[1]) + (t[2] + t[3])
 
 
 def pool_output_extent(n_in: int, k: int, stride: int) -> int:
@@ -194,10 +198,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
     return acc
 
 
-def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarray:
-    """Depthwise 'same' conv (odd kernel, stride 1) followed by a 1x1
-    pointwise conv.  The depthwise stage equals per-channel single-channel
-    conv2d calls bit for bit."""
+def depthwise_conv(x, dw_weight) -> np.ndarray:
+    """Depthwise 'same' conv (odd square kernel, stride 1, zero padding);
+    equals per-channel single-channel conv2d calls bit for bit."""
     x = require_chw(as_tensor(x, "dsconv input"), "dsconv input")
     dw_weight = as_tensor(dw_weight, "depthwise weight")
     if dw_weight.ndim != 4 or dw_weight.shape[1] != 1:
@@ -216,12 +219,17 @@ def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarra
 
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
     xp[:, pad:pad + h, pad:pad + w] = x
-    mid = np.zeros((c, h, w))
+    out = np.zeros((c, h, w))
     for ky in range(k):
         for kx in range(k):
-            mid += dw_weight[:, 0, ky, kx][:, None, None] * xp[:, ky:ky + h, kx:kx + w]
+            out += dw_weight[:, 0, ky, kx][:, None, None] * xp[:, ky:ky + h, kx:kx + w]
     _tally(c * h * w * k * k)
-    return conv2d(mid, pw_weight, pw_bias, stride=1, pad=0)
+    return out
+
+
+def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarray:
+    """:func:`depthwise_conv` followed by a 1x1 pointwise conv."""
+    return conv2d(depthwise_conv(x, dw_weight), pw_weight, pw_bias, stride=1, pad=0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,47 +305,3 @@ def idct2(x) -> np.ndarray:
     tw = dct_matrix(w)
     _tally(c * (h * h * w + h * w * w))
     return th.T @ x @ tw
-
-
-# ---------------------------------------------------------------------------
-# attention building blocks
-
-def channel_attention(x, w_reduce, w_expand) -> np.ndarray:
-    """Squeeze-and-excitation channel gate.
-
-    Global average -> linear (C -> mid) -> ReLU -> linear (mid -> C) ->
-    sigmoid -> per-channel rescale of the input.
-    """
-    x = require_chw(as_tensor(x, "channel_attention input"), "channel_attention input")
-    w_reduce = as_tensor(w_reduce, "w_reduce")
-    w_expand = as_tensor(w_expand, "w_expand")
-    c = x.shape[0]
-    if w_reduce.ndim != 2 or w_reduce.shape[1] != c:
-        raise InvalidArgumentError(
-            f"channel_attention: w_reduce shape {w_reduce.shape} incompatible with C={c}")
-    mid = w_reduce.shape[0]
-    if w_expand.shape != (c, mid):
-        raise InvalidArgumentError(
-            f"channel_attention: w_expand shape {w_expand.shape} != ({c},{mid})")
-    squeeze = x.mean(axis=(1, 2))
-    hidden = np.maximum(w_reduce @ squeeze, 0.0)
-    gate = sigmoid(w_expand @ hidden)
-    _tally(mid * c + c * mid + x.size)
-    return x * gate[:, None, None]
-
-
-def spatial_attention(x, w_conv) -> np.ndarray:
-    """Spatial gate: channel mean & max stacked into a 2-channel map, odd
-    'same' conv to 1 channel, sigmoid, broadcast rescale."""
-    x = require_chw(as_tensor(x, "spatial_attention input"), "spatial_attention input")
-    w_conv = as_tensor(w_conv, "spatial conv weight")
-    if w_conv.ndim != 4 or w_conv.shape[0] != 1 or w_conv.shape[1] != 2:
-        raise InvalidArgumentError(
-            f"spatial_attention: weight must be [1,2,k,k], got {w_conv.shape}")
-    k = w_conv.shape[2]
-    if w_conv.shape[3] != k or k % 2 == 0:
-        raise InvalidArgumentError("spatial_attention: kernel must be square and odd")
-    stacked = np.stack([x.mean(axis=0), x.max(axis=0)])
-    gate = sigmoid(conv2d(stacked, w_conv, None, stride=1, pad=(k - 1) // 2))
-    _tally(x.size)
-    return x * gate

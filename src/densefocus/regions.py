@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .density import DensityMap, density_values
+from .density import density_values
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .ops import as_tensor
 
@@ -161,7 +161,7 @@ def focus_bank(x, mask, weight, bias, kernel: int = 7):
     """
     if isinstance(mask, ad.Var):
         raise UnsupportedOperationError("focus_bank: mask must be a concrete array")
-    xv = x.value if isinstance(x, ad.Var) else as_tensor(x, "focus input")
+    xv = ad.value_of(x, "focus input")
     mv = as_tensor(mask, "focus mask")
     if mv.ndim == 2:
         mv = mv[None]

@@ -117,11 +117,26 @@ def load_annotation_file(path):
     except json.JSONDecodeError as exc:
         raise FormatError(f"annotation file {path}: invalid JSON ({exc})") from exc
     for section in ("images", "annotations", "categories"):
-        if section not in doc or not isinstance(doc[section], list):
+        if not isinstance(doc, dict) or not isinstance(doc.get(section), list):
             raise FormatError(f"annotation file {path}: missing list {section!r}")
 
+    try:
+        return _parse_annotation_doc(doc)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # a missing field, a non-object entry, or a bbox/score that is not
+        # four numbers / one number
+        raise FormatError(
+            f"annotation file {path}: malformed entry ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_annotation_doc(doc):
     images = {}
     for im in doc["images"]:
+        if not all(type(v) in (int, float) and 0 < v < math.inf
+                   for v in (im["width"], im["height"])):
+            raise FormatError(f"image {im['id']}: width and height must be positive numbers")
         images[im["id"]] = {"width": im["width"], "height": im["height"],
                             "file_name": im.get("file_name", "")}
     category_ids = {c["id"] for c in doc["categories"]}
@@ -147,11 +162,14 @@ def load_annotation_file(path):
         if w <= 0 or h <= 0:
             raise FormatError(f"annotation {aid}: bbox fully outside image")
         score = ann.get("score")
+        if score is not None:
+            score = float(score)
+            if not math.isfinite(score):
+                raise FormatError(f"annotation {aid}: non-finite score")
         annotations.append(BBoxAnnotation.from_xywh(
             img_id, ann["category_id"], x, y, w, h, score))
         if score is not None:
-            detections.append(Detection(img_id, ann["category_id"],
-                                        (x, y, w, h), float(score)))
+            detections.append(Detection(img_id, ann["category_id"], (x, y, w, h), score))
     return images, annotations, detections
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from densefocus.cli import GRADCHECK_TOLERANCE, cli_dispatch, train_demo
+from densefocus.dafm import expected_agents
+from densefocus.errors import InvalidArgumentError
 from densefocus.evalkit import ap_report
 from densefocus.params import seeded_uniform
 from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
@@ -171,6 +173,59 @@ def test_eval_non_finite_bbox_exits_3(tmp_path, scene_dir, capsys):
     assert run("eval", "--gt", str(gt_path), "--dets", str(bad)) == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"annotations": [{"id": 1, "image_id": 1, "category_id": 1}]},      # no bbox
+    {"annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 2, 3]}]},
+    {"annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 2, 3, 4],
+                      "score": float("nan")}]},
+    {"annotations": ["not an object"]},
+    {"images": [{"id": 1, "height": 48}]},                                  # no width
+])
+def test_malformed_annotation_file_exits_3(tmp_path, scene_dir, change, capsys):
+    doc = json.loads((scene_dir / "annotations.json").read_text())
+    doc.update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good_dets = str(scene_dir / "detections.json")
+    assert run("eval", "--gt", str(bad), "--dets", good_dets) == 3
+    assert run("eval", "--gt", good_dets, "--dets", str(bad)) == 3
+    assert run("gt-density", "--annotations", str(bad), "--out", str(tmp_path / "d")) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,code", [
+    ("dafm", {"seed": "x"}, 3),
+    ("dffm", {"seed": "x"}, 3),
+    ("calibrate", {"seed": "x"}, 3),
+    ("dafm", {"seed": True}, 3),
+    ("dafm", {"embed": 2.5}, 3),
+    ("dafm", {"thresh_value": "top"}, 3),
+    ("dffm", {"sa_kernel": [7]}, 3),
+    ("calibrate", {"c_mid": None}, 3),
+    ("dafm", {"bank_kernel": 0}, 2),
+    ("dafm", {"bank_kernel": -1}, 2),
+    ("dafm", {"seed": 2.0, "bank_kernel": 4.0}, 0),
+])
+def test_params_file_fields(tmp_path, command, doc, code, capsys):
+    feats, density = tmp_path / "x.drmt", tmp_path / "d.drmt"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(doc))
+    inputs = (["--density", str(density)] if command == "calibrate"
+              else ["--features", str(feats), "--density", str(density)])
+    assert run(command, *inputs, "--params", str(params),
+               "--out", str(tmp_path / "o.drmt")) == code
+    capsys.readouterr()
+
+
+def test_expected_agents_rejects_non_positive_kernel():
+    assert expected_agents(16, 16, 4) == 16
+    for bad in (0, -1):
+        with pytest.raises(InvalidArgumentError, match="bank_kernel"):
+            expected_agents(16, 16, bad)
+
+
 @pytest.mark.parametrize("module", ["ops", "density", "dafm", "dffm"])
 def test_gradcheck_command(module, capsys):
     assert run("--seed", "1", "gradcheck", "--module", module) == 0
@@ -194,7 +249,7 @@ def test_train_demo_command(tmp_path, capsys):
 def test_exit_code_usage_errors(tmp_path, capsys):
     assert run("synth", "--spec", str(tmp_path / "missing.json"),
                "--out-dir", str(tmp_path / "o")) == 2
-    assert run("--jobs", "0", "train-demo", "--steps", "0") == 2
+    assert run("train-demo", "--steps", "-1") == 2
     assert run("no-such-command") == 2
     assert run("gt-density", "--annotations", str(tmp_path / "x.json")) == 2
     capsys.readouterr()
@@ -226,13 +281,3 @@ def test_exit_code_numeric_errors(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "synth" in capsys.readouterr().out
-
-
-def test_jobs_value_does_not_change_results(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"width": 32, "height": 32, "n_clusters": 1,
-                                "seed": 4}))
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run("synth", "--spec", str(spec), "--out-dir", str(a)) == 0
-    assert run("--jobs", "3", "synth", "--spec", str(spec), "--out-dir", str(b)) == 0
-    assert (a / "image.drmt").read_bytes() == (b / "image.drmt").read_bytes()

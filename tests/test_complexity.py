@@ -2,8 +2,11 @@
 
 import pytest
 
+from densefocus import (Var, count_macs, dafm_forward, dafm_params, dffm_forward,
+                        dffm_params, expected_agents)
 from densefocus.complexity import measured_global_attention_macs, measured_ifam_macs
 from densefocus.errors import InvalidArgumentError
+from densefocus.params import seeded_uniform
 
 
 def ifam_formula(h, w, c, d, n):
@@ -52,3 +55,19 @@ def test_size_validation():
         measured_ifam_macs(8, 8, 4, 4, 0)
     with pytest.raises(InvalidArgumentError):
         measured_global_attention_macs(8, 0, 4, 4)
+
+
+@pytest.mark.parametrize("forward", [
+    lambda x, d: dffm_forward(x, d, dffm_params(8, (3, 6, 9), 1), (3, 6, 9)),
+    lambda x, d: dafm_forward(x, d, dafm_params(8, 8, expected_agents(40, 40), 1)),
+], ids=["dffm", "dafm"])
+def test_mac_count_does_not_depend_on_input_type(forward):
+    # a graph forward does the same multiply-adds as an inference forward
+    x = seeded_uniform(1, "macs.x", (8, 40, 40), 4)
+    d = abs(seeded_uniform(1, "macs.d", (1, 40, 40), 1))
+    counts = []
+    for inp in (x, Var(x)):
+        with count_macs() as counter:
+            forward(inp, d)
+        counts.append(counter.macs)
+    assert counts[0] == counts[1] > 0

@@ -197,3 +197,38 @@ def test_load_rejects_malformed_documents(tmp_path):
     del doc["categories"]
     with pytest.raises(FormatError, match="categories"):
         load_annotation_file(write_doc(tmp_path, doc))
+
+
+def good_ann(**changes):
+    ann = {"id": 3, "image_id": 1, "category_id": 1, "bbox": [1.0, 2.0, 3.0, 4.0]}
+    ann.update(changes)
+    return ann
+
+
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("doc", [
+    doc_with([without(good_ann(), "bbox")]),
+    doc_with([without(good_ann(), "image_id")]),
+    doc_with([without(good_ann(), "category_id")]),
+    dict(doc_with([good_ann()]), images=[{"id": 1, "height": 48}]),
+    dict(doc_with([good_ann()]), images=[{"id": 1, "width": "64", "height": 48}]),
+    doc_with([good_ann(bbox=[1.0, 2.0, 3.0])]),
+    doc_with([good_ann(bbox="1,2,3,4")]),
+    doc_with([good_ann(bbox=None)]),
+    doc_with([good_ann(score="high")]),
+    doc_with([good_ann(score=float("nan"))]),
+    doc_with([good_ann(score=float("inf"))]),
+    doc_with([[1, 1, 1]]),
+    dict(doc_with([good_ann()]), images=[[1, 64, 48]]),
+    dict(doc_with([good_ann()]), categories=["one"]),
+    7,
+], ids=["no-bbox", "no-image_id", "no-category_id", "no-width", "string-width",
+        "3-element-bbox", "string-bbox", "null-bbox", "string-score", "nan-score",
+        "inf-score", "annotation-not-object", "image-not-object",
+        "category-not-object", "document-not-object"])
+def test_load_malformed_entries_are_format_errors(tmp_path, doc):
+    with pytest.raises(FormatError):
+        load_annotation_file(write_doc(tmp_path, doc))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.errors import InvalidArgumentError
 from densefocus.params import seeded_uniform
@@ -218,7 +219,7 @@ def test_channel_attention_matches_hand_pipeline():
     x = u(24, "ca.x", (4, 5, 5), 4)
     w_r = u(25, "ca.r", (2, 4), 4)
     w_e = u(26, "ca.e", (4, 2), 2)
-    got = ops.channel_attention(x, w_r, w_e)
+    got = ad.channel_attention(x, w_r, w_e)
     ref = oracles.hand_channel_attention(x, w_r, w_e)
     assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
 
@@ -226,14 +227,14 @@ def test_channel_attention_matches_hand_pipeline():
 def test_spatial_attention_matches_hand_pipeline():
     x = u(27, "sa.x", (3, 6, 6), 4)
     w = u(28, "sa.w", (1, 2, 7, 7), 98)
-    got = ops.spatial_attention(x, w)
+    got = ad.spatial_attention(x, w)
     ref = oracles.hand_spatial_attention(x, w)
     assert np.allclose(got, ref, rtol=1e-14, atol=1e-15)
 
 
 def test_spatial_attention_needs_odd_kernel():
     with pytest.raises(InvalidArgumentError):
-        ops.spatial_attention(np.zeros((2, 4, 4)), np.zeros((1, 2, 4, 4)))
+        ad.spatial_attention(np.zeros((2, 4, 4)), np.zeros((1, 2, 4, 4)))
 
 
 # ---------------------------------------------------------------------------
