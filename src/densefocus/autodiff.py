@@ -7,8 +7,8 @@ vector-Jacobian products.  Each differentiable op is defined once, by
 the output cotangent to the cotangent of positional argument ``i``.  A call
 with no Var among its positional arguments returns ``forward(*args)``
 untouched; otherwise the op records one tape node.  Blocks composed from
-registered ops (the attention gates, the depthwise-separable conv) need no
-registration of their own.  Module forwards are therefore written once and
+registered ops (the channel and spatial attention gates, the
+depthwise-separable conv) need no registration of their own.  Module forwards are therefore written once and
 work both as fast inference code and as differentiable graphs.
 """
 
@@ -91,10 +91,16 @@ def defop(forward, *vjps):
     argument ``i`` for the output cotangent ``g``, given the forward output
     and the call's arguments with every Var replaced by its value.  ``None``
     (or a missing entry) marks an argument without a gradient.  Keyword
-    arguments are passed through to the forward and the vjps unchanged.
+    arguments are passed through to the forward and the vjps unchanged, so
+    a Var among them is rejected rather than silently left out of the tape.
     """
     @functools.wraps(forward)
     def op(*args, **kwargs):
+        for key, value in kwargs.items():
+            if isinstance(value, Var):
+                raise UnsupportedOperationError(
+                    f"{forward.__name__}: Var passed by keyword {key!r}; "
+                    f"pass it positionally to differentiate it")
         if not any(isinstance(a, Var) for a in args):
             return forward(*args, **kwargs)
         values = [a.value if isinstance(a, Var) else a for a in args]
@@ -325,6 +331,22 @@ relu = defop(ops.relu, lambda g, out, x: g * (x > 0.0))
 softmax = defop(ops.softmax, lambda g, out, x, axis=-1:
                 out * (g - (g * out).sum(axis=axis, keepdims=True)))
 matmul = defop(ops.matmul, lambda g, out, a, b: g @ b.T, lambda g, out, a, b: a.T @ g)
+
+
+def _gates_grad(g, out, a):
+    """Cotangent of the gate scores, scaled as in the forward."""
+    return g * out * (1.0 - out) * (1.0 / math.sqrt(a.shape[1]))
+
+
+# The vjps repeat the arithmetic of the matmul -> scale -> add -> sigmoid
+# composition in its order, and its operand layouts too: BLAS may round a
+# product with a C-ordered b differently from one with the F-ordered b^T^T
+# that the composition multiplies by, so gradients match it bit for bit.
+sigmoid_gates = defop(
+    ops.sigmoid_gates,
+    lambda g, out, a, b, bias: _gates_grad(g, out, a) @ np.asfortranarray(b),
+    lambda g, out, a, b, bias: (a.T @ _gates_grad(g, out, a)).T,
+    lambda g, out, a, b, bias: _unbroadcast(g * out * (1.0 - out), bias.shape))
 dct2 = defop(ops.dct2, lambda g, out, x: ops.idct2(g))
 idct2 = defop(ops.idct2, lambda g, out, x: ops.dct2(g))
 

@@ -51,15 +51,27 @@ def _load_json(path, label: str) -> dict:
     return doc
 
 
-def _num_field(doc: dict, key: str, default, integer: bool = True):
-    """A numeric field of a spec/params file; integral floats such as 7.0
-    pass as integers.  Any other value is a format error."""
-    value = doc.get(key, default)
-    if type(value) not in (int, float) or (
-            integer and type(value) is float and not value.is_integer()):
-        kind = "an integer" if integer else "a number"
+def _num_value(key: str, value, integer: bool = True):
+    """A numeric value of a spec/params file; integral floats such as 7.0
+    pass as integers.  Any other value, NaN and infinities included, is a
+    format error."""
+    if not (type(value) is int or (type(value) is float and math.isfinite(value)
+                                   and (value.is_integer() or not integer))):
+        kind = "an integer" if integer else "a finite number"
         raise FormatError(f"field {key!r} must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def _num_field(doc: dict, key: str, default, integer: bool = True):
+    return _num_value(key, doc.get(key, default), integer)
+
+
+def _range_field(doc: dict, key: str, default) -> tuple:
+    """An integer [lo, hi] pair of a spec file."""
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise FormatError(f"field {key!r} must be a [lo, hi] pair, got {value!r}")
+    return tuple(_num_value(key, v) for v in value)
 
 
 def _resolve_seed(args, doc: dict) -> int:
@@ -76,16 +88,16 @@ def _verbose(args, msg: str) -> None:
 
 def cmd_synth(args) -> int:
     doc = _load_json(args.spec, "scene spec")
-    try:
-        spec = SceneSpec(
-            width=int(doc["width"]), height=int(doc["height"]),
-            n_clusters=int(doc["n_clusters"]),
-            objects_per_cluster=tuple(doc.get("objects_per_cluster", (4, 10))),
-            object_size=tuple(doc.get("object_size", (4, 16))),
-            cluster_spread=float(doc.get("cluster_spread", 8.0)),
-            seed=_resolve_seed(args, doc))
-    except KeyError as exc:
-        raise FormatError(f"scene spec {args.spec}: missing field {exc}")
+    for key in ("width", "height", "n_clusters"):
+        if key not in doc:
+            raise FormatError(f"scene spec {args.spec}: missing field {key!r}")
+    spec = SceneSpec(
+        width=_num_field(doc, "width", None), height=_num_field(doc, "height", None),
+        n_clusters=_num_field(doc, "n_clusters", None),
+        objects_per_cluster=_range_field(doc, "objects_per_cluster", (4, 10)),
+        object_size=_range_field(doc, "object_size", (4, 16)),
+        cluster_spread=_num_field(doc, "cluster_spread", 8.0, integer=False),
+        seed=_resolve_seed(args, doc))
     os.makedirs(args.out_dir, exist_ok=True)
     image, annotations = generate_scene(spec, image_id=args.image_id)
     _ensure_finite(image, "synth image")

@@ -100,8 +100,7 @@ def ifam_stage1(bank, keys, values, bias_fwd):
     if ad.shape_of(bias_fwd) != (n,):
         raise InvalidArgumentError(
             f"ifam_stage1: bias shape {ad.shape_of(bias_fwd)} != ({n},)")
-    scores = ad.scale(ad.matmul(bank, ad.transpose2d(keys)), 1.0 / math.sqrt(d))
-    gates = ad.sigmoid(ad.add(scores, ad.reshape(bias_fwd, (n, 1))))
+    gates = ad.sigmoid_gates(bank, keys, ad.reshape(bias_fwd, (n, 1)))
     return ad.matmul(gates, values)
 
 
@@ -120,8 +119,7 @@ def ifam_stage2(queries, bank, gathered, bias_bwd):
     if ad.shape_of(bias_bwd) != (n,):
         raise InvalidArgumentError(
             f"ifam_stage2: bias shape {ad.shape_of(bias_bwd)} != ({n},)")
-    scores = ad.scale(ad.matmul(queries, ad.transpose2d(bank)), 1.0 / math.sqrt(d))
-    gates = ad.sigmoid(ad.add(scores, ad.reshape(bias_bwd, (1, n))))
+    gates = ad.sigmoid_gates(queries, bank, ad.reshape(bias_bwd, (1, n)))
     return ad.matmul(gates, gathered)
 
 

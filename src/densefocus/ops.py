@@ -17,6 +17,7 @@ Conventions that the rest of the library leans on:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -235,11 +236,25 @@ def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarra
 # ---------------------------------------------------------------------------
 # activations
 
+def _sigmoid_into(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic, overwriting the float64 array ``x``.
+
+    With t = exp(-|x|) in (0, 1], max([x >= 0], t) / (1 + t) is 1/(1+t)
+    for x >= 0 and t/(1+t) otherwise, bit for bit, NaN included, without
+    a mask: one extra buffer of x's size holds the numerator.
+    """
+    num = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.maximum(num, x, out=num)
+    np.add(x, 1.0, out=x)
+    return np.divide(num, x, out=x)
+
+
 def sigmoid(x) -> np.ndarray:
     """Numerically stable logistic: exp is only ever taken of -|x|."""
-    x = as_tensor(x, "sigmoid input")
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return _sigmoid_into(as_tensor(x, "sigmoid input").copy())
 
 
 def relu(x) -> np.ndarray:
@@ -269,6 +284,32 @@ def matmul(a, b) -> np.ndarray:
         raise InvalidArgumentError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     _tally(a.shape[0] * a.shape[1] * b.shape[1])
     return a @ b
+
+
+def sigmoid_gates(a, b, bias) -> np.ndarray:
+    """Attention gates sigmoid(a @ b^T / sqrt(d) + bias) for a [m,d] and
+    b [n,d], built in the one [m,n] buffer that the product allocates.
+
+    bias broadcasts against [m,n] without growing it: [m,1] is one scalar
+    per row, [1,n] one per column.  Equal bit for bit to the composition
+    matmul -> scale -> add -> sigmoid.
+    """
+    a = as_tensor(a, "gates lhs")
+    b = as_tensor(b, "gates rhs")
+    bias = as_tensor(bias, "gates bias")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise InvalidArgumentError(
+            f"sigmoid_gates: expected [m,d] and [n,d], got {a.shape} and {b.shape}")
+    m, d = a.shape
+    n = b.shape[0]
+    if bias.ndim != 2 or any(e not in (1, full) for e, full in zip(bias.shape, (m, n))):
+        raise InvalidArgumentError(
+            f"sigmoid_gates: bias shape {bias.shape} does not broadcast to ({m},{n})")
+    _tally(m * d * n)
+    g = a @ b.T.copy()
+    g *= 1.0 / math.sqrt(d)
+    g += bias
+    return _sigmoid_into(g)
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,15 @@ def test_plain_arrays_short_circuit_to_numpy():
     assert isinstance(ad.sigmoid(x), np.ndarray)
     assert isinstance(ad.dct2(x), np.ndarray)
     assert isinstance(ad.avg_pool(x, 2), np.ndarray)
+
+
+def test_var_passed_by_keyword_is_rejected():
+    x = u(10, "g.kw.x", (2, 4, 4))
+    w = u(10, "g.kw.w", (3, 2, 3, 3))
+    b = ad.Var(u(10, "g.kw.b", (3,)))
+    for xx in (ad.Var(x), x):
+        with pytest.raises(UnsupportedOperationError, match="conv2d.*'bias'"):
+            ad.conv2d(xx, w, bias=b)
+    out = ad.conv2d(ad.Var(x), w, b)        # positionally it differentiates
+    ad.backward(ad.sum_all(out))
+    assert np.array_equal(b.grad, np.full(3, 4.0))   # 2x2 outputs per channel

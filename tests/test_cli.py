@@ -266,6 +266,22 @@ def test_exit_code_format_errors(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"width": "x"}, {"width": 32.5}, {"width": None}, {"n_clusters": True},
+    {"object_size": 5}, {"object_size": [3, 8, 9]}, {"object_size": [3.5, 8]},
+    {"objects_per_cluster": ["a", 3]},
+    {"cluster_spread": float("nan")}, {"cluster_spread": float("inf")},
+    {"cluster_spread": "8"},
+])
+def test_scene_spec_faults_exit_3(tmp_path, change, capsys):
+    doc = {"width": 32, "height": 32, "n_clusters": 1}
+    doc.update(change)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))    # writes the JSON literals NaN/Infinity
+    assert run("synth", "--spec", str(spec), "--out-dir", str(tmp_path / "o")) == 3
+    assert f"field {next(iter(change))!r}" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_errors(tmp_path, capsys):
     density = tmp_path / "nan.drmt"
     bad = np.ones((1, 8, 8))

@@ -2,6 +2,7 @@
 full block with its density-driven routing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,59 @@ def test_stage_shape_validation():
         ifam_stage2(np.zeros((5, 3)), np.zeros((2, 4)), np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(InvalidArgumentError):
         ifam_stage2(np.zeros((5, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# the fused gate op behind both stages
+
+@pytest.mark.parametrize("bias_shape", ["row", "column"])
+def test_sigmoid_gates_grad_check(bias_shape):
+    m, n, d = 5, 3, 4
+    for seed in (1, 2, 3):
+        a = 3.0 * u(seed, "gg.a", (m, d), 1)
+        b = 3.0 * u(seed, "gg.b", (n, d), 1)
+        bias = u(seed, "gg.bias", (m, 1) if bias_shape == "row" else (1, n), 1)
+        w = u(seed, "gg.w", (m, n), 1)
+
+        def f(aa, bb, cc):
+            return ad.sum_all(ad.multiply(ad.sigmoid_gates(aa, bb, cc), w))
+        assert ad.grad_check(f, [a, b, bias], eps=1e-6) < 1e-5
+
+
+@pytest.mark.parametrize("m,n,d,bias_shape", [(36, 400, 4, "row"), (400, 36, 4, "column")])
+def test_sigmoid_gates_gradients_equal_composition_bits(m, n, d, bias_shape):
+    # the shapes of both stages at a 20x20 input with C=4 and 36 agents
+    a = u(4, "gc.a", (m, d), 1)
+    b = u(5, "gc.b", (n, d), 1)
+    bias = u(6, "gc.bias", (m, 1) if bias_shape == "row" else (1, n), 1)
+    w = u(7, "gc.w", (m, n), 1)
+
+    def grads(gates):
+        leaves = [ad.Var(a), ad.Var(b), ad.Var(bias)]
+        out = ad.sum_all(ad.multiply(gates(*leaves), w))
+        ad.backward(out)
+        return [out.value] + [leaf.grad for leaf in leaves]
+
+    fused = grads(ad.sigmoid_gates)
+    composed = grads(lambda aa, bb, cc: ad.sigmoid(ad.add(
+        ad.scale(ad.matmul(aa, ad.transpose2d(bb)), 1.0 / math.sqrt(d)), cc)))
+    for got, ref in zip(fused, composed):
+        assert np.array_equal(got, ref)
+
+
+def test_sigmoid_gates_peak_memory_is_two_gate_buffers():
+    m, n, d = 2000, 256, 16
+    a = u(8, "gp.a", (m, d), 1)
+    b = u(9, "gp.b", (n, d), 1)
+    bias = u(10, "gp.bias", (1, n), 1)
+    tracemalloc.start()
+    try:
+        gates = ad.sigmoid_gates(a, b, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gates.shape == (m, n)
+    assert peak <= 2.5 * m * n * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Dense numeric kernels against naive-loop and definitional oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,77 @@ def test_sigmoid_matches_hand_and_extremes():
     assert got[0] == 0.0 and got[-1] == 1.0
     assert got[3] == 0.5
     assert np.all((got >= 0) & (got <= 1))
+
+
+def where_sigmoid(x):
+    """The masked formula that ops.sigmoid replaced, kept as its bit oracle."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def assert_same_bits(got, ref):
+    assert isinstance(got, np.ndarray) and got.shape == np.shape(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+SPECIALS = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                     745.2, -745.2, 1e-300, -1e-300, 5e-324, 36.7, -36.7])
+
+
+def test_sigmoid_bit_exact_vs_where_formula():
+    x = np.concatenate([SPECIALS, 40.0 * u(31, "sig.x", (998,), 1)])
+    assert_same_bits(ops.sigmoid(x), where_sigmoid(x))
+    grid = np.concatenate([x, -x]).reshape(2, -1, 2)
+    for view in (grid[:, ::3], grid.transpose(2, 1, 0), grid[..., 1]):
+        assert not view.flags.c_contiguous
+        assert_same_bits(ops.sigmoid(view), where_sigmoid(view))
+    for scalar in (-3.0, 0.0, -0.0, np.nan, np.array(2.5)):
+        assert_same_bits(ops.sigmoid(scalar), where_sigmoid(np.asarray(scalar)))
+
+
+def test_sigmoid_gates_bit_exact_vs_composition():
+    m, n, d = 21, 14, 5
+    a = 6.0 * u(32, "gate.a", (m, d), 1)
+    b = 6.0 * u(33, "gate.b", (n, d), 1)
+    a[:len(SPECIALS)] = 0.0                 # these rows score bias alone
+    for bias in (np.resize(SPECIALS, (m, 1)),
+                 u(34, "gate.bc", (1, n), 1), u(35, "gate.bf", (m, n), 1)):
+        ref = where_sigmoid(a @ b.T.copy() * (1.0 / math.sqrt(d)) + bias)
+        assert_same_bits(ops.sigmoid_gates(a, b, bias), ref)
+    # non-contiguous operands of every kind
+    big_a = 6.0 * u(36, "gate.ba", (2 * m, d + 3), 1)
+    a_nc, b_nc = big_a[::2, 1:d + 1], (6.0 * u(37, "gate.bb", (d, n), 1)).T
+    bias_nc = u(38, "gate.bn", (n, 2), 1).T[:1]
+    assert not (a_nc.flags.c_contiguous or b_nc.flags.c_contiguous
+                or bias_nc.flags.c_contiguous)
+    ref = where_sigmoid(a_nc @ b_nc.T.copy() * (1.0 / math.sqrt(d)) + bias_nc)
+    assert_same_bits(ops.sigmoid_gates(a_nc, b_nc, bias_nc), ref)
+
+
+def test_sigmoid_kernels_do_not_write_into_arguments():
+    x = np.concatenate([SPECIALS, u(39, "sig.w", (50,), 1)])
+    a, b, bias = u(40, "gw.a", (7, 3), 1), u(41, "gw.b", (5, 3), 1), u(42, "gw.c", (7, 1), 1)
+    before = [v.copy() for v in (x, a, b, bias)]
+    ops.sigmoid(x)
+    ops.sigmoid_gates(a, b, bias)
+    for v, kept in zip((x, a, b, bias), before):
+        assert_same_bits(v, kept)
+
+
+def test_sigmoid_gates_macs_and_validation():
+    m, n, d = 9, 6, 4
+    a, b = u(43, "gm.a", (m, d), 1), u(44, "gm.b", (n, d), 1)
+    with ops.count_macs() as counter:
+        ops.sigmoid_gates(a, b, np.zeros((1, n)))
+    assert counter.macs == m * n * d
+    for bad_a, bad_b, bad_bias in [(a, b[:, :3], np.zeros((1, n))),
+                                   (a[0], b, np.zeros((1, n))),
+                                   (a, b, np.zeros(n)),
+                                   (a, b, np.zeros((m + 1, 1))),
+                                   (a, b, np.zeros((1, n, 1)))]:
+        with pytest.raises(InvalidArgumentError):
+            ops.sigmoid_gates(bad_a, bad_b, bad_bias)
 
 
 def test_relu():
