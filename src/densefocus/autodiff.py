@@ -2,19 +2,22 @@
 
 A :class:`Var` wraps a float64 ndarray plus the tape links needed to run
 vector-Jacobian products.  Each differentiable op is defined once, by
-``defop(forward, *vjps)``, in the idiom of HIPS autograd ``defvjp`` and JAX
-``custom_vjp``: ``forward`` is the plain numpy kernel and ``vjps[i]`` maps
-the output cotangent to the cotangent of positional argument ``i``.  A call
-with no Var among its positional arguments returns ``forward(*args)``
-untouched; otherwise the op records one tape node.  Blocks composed from
-registered ops (the channel and spatial attention gates, the
-depthwise-separable conv) need no registration of their own.  Module forwards are therefore written once and
-work both as fast inference code and as differentiable graphs.
+``defop(forward, vjp)``, in the idiom of the JAX ``custom_vjp`` bwd and
+PyTorch ``autograd.Function.backward``: ``forward`` is the plain numpy
+kernel, and ``vjp`` maps the output cotangent to one cotangent per
+positional argument, computing only those the tape needs.  A call with no
+Var among its positional arguments returns ``forward(*args)`` untouched;
+otherwise the op records one tape node, whose vjp runs once per backward.
+Blocks composed from registered ops (the channel and spatial attention
+gates, the depthwise-separable conv) need no registration of their own, so
+module forwards work both as fast inference code and as differentiable
+graphs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -27,12 +30,13 @@ from .rng import Rng
 class Var:
     """Graph node: a value, an accumulated gradient, and parent links."""
 
-    __slots__ = ("value", "grad", "_parents")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = ops.as_tensor(value, "Var value")
         self.grad = None
         self._parents = tuple(parents)
+        self._vjp = vjp
 
     @property
     def shape(self):
@@ -84,15 +88,15 @@ def shape_of(x, name: str = "tensor") -> tuple:
     return value_of(x, name).shape
 
 
-def defop(forward, *vjps):
+def defop(forward, vjp):
     """Register ``forward`` as a differentiable op.
 
-    ``vjps[i](g, out, *args, **kwargs)`` returns the cotangent of positional
-    argument ``i`` for the output cotangent ``g``, given the forward output
-    and the call's arguments with every Var replaced by its value.  ``None``
-    (or a missing entry) marks an argument without a gradient.  Keyword
-    arguments are passed through to the forward and the vjps unchanged, so
-    a Var among them is rejected rather than silently left out of the tape.
+    ``vjp(g, out, needs, *args, **kwargs)`` gets the output cotangent, the
+    forward output and the call's arguments with each Var replaced by its
+    value.  It returns one cotangent, or ``None``, per positional argument,
+    and computes none where ``needs[i]`` is false (argument ``i`` is not a
+    Var).  Keyword arguments reach the forward and the vjp unchanged, so a
+    Var among them is rejected rather than silently left off the tape.
     """
     @functools.wraps(forward)
     def op(*args, **kwargs):
@@ -101,13 +105,14 @@ def defop(forward, *vjps):
                 raise UnsupportedOperationError(
                     f"{forward.__name__}: Var passed by keyword {key!r}; "
                     f"pass it positionally to differentiate it")
-        if not any(isinstance(a, Var) for a in args):
+        needs = tuple(isinstance(a, Var) for a in args)
+        if not any(needs):
             return forward(*args, **kwargs)
-        values = [a.value if isinstance(a, Var) else a for a in args]
+        values = [a.value if need else a for a, need in zip(args, needs)]
         out = forward(*values, **kwargs)
-        return Var(out, [(a, lambda g, fn=fn: fn(g, out, *values, **kwargs))
-                         for a, fn in zip(args, vjps)
-                         if fn is not None and isinstance(a, Var)])
+        return Var(out, itertools.compress(args, needs),
+                   lambda g: itertools.compress(vjp(g, out, needs, *values, **kwargs),
+                                                needs))
     return op
 
 
@@ -132,13 +137,10 @@ def _topo_order(root: Var) -> list[Var]:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._parents:
-            stack.append((parent, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
     return order
 
 
@@ -163,11 +165,11 @@ def backward(out: Var, cotangent=None) -> None:
     out.grad = ct
     for node in reversed(order):
         g = node.grad
-        if g is None:
+        if g is None or node._vjp is None:
             continue
-        for parent, vjp_fn in node._parents:
-            contrib = vjp_fn(g)
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+        for parent, contrib in zip(node._parents, node._vjp(g)):
+            if contrib is not None:
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def vjp(out: Var, cotangent, wrt) -> list[np.ndarray]:
@@ -239,23 +241,22 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0,
 # ---------------------------------------------------------------------------
 # elementwise / structural primitives
 
-def _elementwise(fn):
-    return lambda a, b: fn(ops.as_tensor(a), ops.as_tensor(b))
+def _binary(fn, da, db):
+    """A broadcasting binary op; ``da(g, b)`` and ``db(g, a)`` give each
+    argument's cotangent before it is summed back to the argument's shape."""
+    return defop(lambda a, b: fn(ops.as_tensor(a), ops.as_tensor(b)),
+                 lambda g, out, needs, a, b: (
+                     _unbroadcast(da(g, b), a.shape) if needs[0] else None,
+                     _unbroadcast(db(g, a), b.shape) if needs[1] else None))
 
 
-add = defop(_elementwise(np.add),
-            lambda g, out, a, b: _unbroadcast(g, a.shape),
-            lambda g, out, a, b: _unbroadcast(g, b.shape))
-subtract = defop(_elementwise(np.subtract),
-                 lambda g, out, a, b: _unbroadcast(g, a.shape),
-                 lambda g, out, a, b: _unbroadcast(-g, b.shape))
-multiply = defop(_elementwise(np.multiply),
-                 lambda g, out, a, b: _unbroadcast(g * b, a.shape),
-                 lambda g, out, a, b: _unbroadcast(g * a, b.shape))
+add = _binary(np.add, lambda g, b: g, lambda g, a: g)
+subtract = _binary(np.subtract, lambda g, b: g, lambda g, a: -g)
+multiply = _binary(np.multiply, lambda g, b: g * b, lambda g, a: g * a)
 scale = defop(lambda x, s: ops.as_tensor(x) * float(s),
-              lambda g, out, x, s: g * float(s))
+              lambda g, out, needs, x, s: (g * float(s),))
 reshape = defop(lambda x, shape: ops.as_tensor(x).reshape(shape),
-                lambda g, out, x, shape: g.reshape(x.shape))
+                lambda g, out, needs, x, shape: (g.reshape(x.shape),))
 
 
 def _transpose2d(x):
@@ -265,7 +266,7 @@ def _transpose2d(x):
     return v.T.copy()
 
 
-transpose2d = defop(_transpose2d, lambda g, out, x: g.T)
+transpose2d = defop(_transpose2d, lambda g, out, needs, x: (g.T,))
 
 
 def _chw_to_rows(x):
@@ -274,8 +275,8 @@ def _chw_to_rows(x):
     return np.ascontiguousarray(v.reshape(v.shape[0], -1).T)
 
 
-chw_to_rows = defop(_chw_to_rows,
-                    lambda g, out, x: np.ascontiguousarray(g.T).reshape(x.shape))
+chw_to_rows = defop(_chw_to_rows, lambda g, out, needs, x:
+                    (np.ascontiguousarray(g.T).reshape(x.shape),))
 
 
 def _rows_to_chw(x, chw_shape):
@@ -287,23 +288,21 @@ def _rows_to_chw(x, chw_shape):
     return np.ascontiguousarray(v.T).reshape(c, h, w)
 
 
-rows_to_chw = defop(
-    _rows_to_chw,
-    lambda g, out, x, chw_shape: np.ascontiguousarray(g.reshape(chw_shape[0], -1).T))
+rows_to_chw = defop(_rows_to_chw, lambda g, out, needs, x, chw_shape:
+                    (np.ascontiguousarray(g.reshape(chw_shape[0], -1).T),))
 concat_channels = defop(
     lambda a, b: np.concatenate([ops.as_tensor(a), ops.as_tensor(b)], axis=0),
-    lambda g, out, a, b: g[:a.shape[0]],
-    lambda g, out, a, b: g[np.shape(a)[0]:])
+    lambda g, out, needs, a, b: (g[:a.shape[0]] if needs[0] else None,
+                                 g[np.shape(a)[0]:] if needs[1] else None))
 sum_all = defop(lambda x: np.asarray(ops.as_tensor(x).sum()),
-                lambda g, out, x: np.full(x.shape, float(g)))
+                lambda g, out, needs, x: (np.full(x.shape, float(g)),))
 mean_all = defop(lambda x: np.asarray(ops.as_tensor(x).mean()),
-                 lambda g, out, x: np.full(x.shape, float(g) / x.size))
+                 lambda g, out, needs, x: (np.full(x.shape, float(g) / x.size),))
 
 
-def _mean_axes_vjp(g, out, x, axes, keepdims=False):
-    axes = tuple(axes)
-    gg = g if keepdims else np.expand_dims(g, axes)
-    return np.broadcast_to(gg / math.prod(x.shape[ax] for ax in axes), x.shape).copy()
+def _mean_axes_vjp(g, out, needs, x, axes, keepdims=False):
+    gg = g if keepdims else np.expand_dims(g, tuple(axes))
+    return (np.broadcast_to(gg / math.prod(x.shape[ax] for ax in axes), x.shape).copy(),)
 
 
 mean_axes = defop(lambda x, axes, keepdims=False:
@@ -311,10 +310,10 @@ mean_axes = defop(lambda x, axes, keepdims=False:
                   _mean_axes_vjp)
 
 
-def _max_channels_vjp(g, out, x):
+def _max_channels_vjp(g, out, needs, x):
     dx = np.zeros_like(x)
     np.put_along_axis(dx, x.argmax(axis=0)[None], g, axis=0)
-    return dx
+    return (dx,)
 
 
 # Channelwise max of a [C,H,W] map -> [1,H,W]; the subgradient goes to the
@@ -326,70 +325,63 @@ max_channels = defop(lambda x: ops.as_tensor(x).max(axis=0, keepdims=True),
 # ---------------------------------------------------------------------------
 # activations, linear algebra, spectral
 
-sigmoid = defop(ops.sigmoid, lambda g, out, x: g * out * (1.0 - out))
-relu = defop(ops.relu, lambda g, out, x: g * (x > 0.0))
-softmax = defop(ops.softmax, lambda g, out, x, axis=-1:
-                out * (g - (g * out).sum(axis=axis, keepdims=True)))
-matmul = defop(ops.matmul, lambda g, out, a, b: g @ b.T, lambda g, out, a, b: a.T @ g)
+sigmoid = defop(ops.sigmoid, lambda g, out, needs, x: (g * out * (1.0 - out),))
+relu = defop(ops.relu, lambda g, out, needs, x: (g * (x > 0.0),))
+softmax = defop(ops.softmax, lambda g, out, needs, x, axis=-1:
+                (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
+matmul = defop(ops.matmul, lambda g, out, needs, a, b: (g @ b.T if needs[0] else None,
+                                                         a.T @ g if needs[1] else None))
 
 
-def _gates_grad(g, out, a):
-    """Cotangent of the gate scores, scaled as in the forward."""
-    return g * out * (1.0 - out) * (1.0 / math.sqrt(a.shape[1]))
+def _sigmoid_gates_vjp(g, out, needs, a, b, bias):
+    """The arithmetic and operand layouts of the matmul -> scale -> add ->
+    sigmoid composition (BLAS may round a product with a C-ordered b apart
+    from one with the F-ordered b^T^T), so gradients match it bit for bit;
+    the score cotangent g*out*(1-out) is formed once, in one owned buffer."""
+    t = np.multiply(g, out)
+    t *= 1.0 - out
+    dbias = _unbroadcast(t, bias.shape).copy() if needs[2] else None
+    t *= 1.0 / math.sqrt(a.shape[1])
+    return (t @ np.asfortranarray(b) if needs[0] else None,
+            (a.T @ t).T if needs[1] else None, dbias)
 
 
-# The vjps repeat the arithmetic of the matmul -> scale -> add -> sigmoid
-# composition in its order, and its operand layouts too: BLAS may round a
-# product with a C-ordered b differently from one with the F-ordered b^T^T
-# that the composition multiplies by, so gradients match it bit for bit.
-sigmoid_gates = defop(
-    ops.sigmoid_gates,
-    lambda g, out, a, b, bias: _gates_grad(g, out, a) @ np.asfortranarray(b),
-    lambda g, out, a, b, bias: (a.T @ _gates_grad(g, out, a)).T,
-    lambda g, out, a, b, bias: _unbroadcast(g * out * (1.0 - out), bias.shape))
-dct2 = defop(ops.dct2, lambda g, out, x: ops.idct2(g))
-idct2 = defop(ops.idct2, lambda g, out, x: ops.dct2(g))
+sigmoid_gates = defop(ops.sigmoid_gates, _sigmoid_gates_vjp)
+dct2 = defop(ops.dct2, lambda g, out, needs, x: (ops.idct2(g),))
+idct2 = defop(ops.idct2, lambda g, out, needs, x: (ops.dct2(g),))
 
 
 # ---------------------------------------------------------------------------
 # convolution / pooling / resampling
 
-def _conv2d_vjp_x(g, out, x, weight, bias=None, stride=1, pad=0):
+def _conv2d_vjp(g, out, needs, x, weight, bias=None, stride=1, pad=0):
+    """Input and weight cotangents in one pass over the kernel taps, each one
+    np.dot on the 2-D operands np.tensordot would build, with its bits."""
     c_out, c_in, kh, kw = weight.shape
-    c, h, w = x.shape
-    out_h, out_w = g.shape[1], g.shape[2]
-    gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
-    for ky in range(kh):
-        for kx in range(kw):
-            contrib = np.tensordot(weight[:, :, ky, kx], g, axes=([0], [0]))
-            gp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride] += contrib
-    return gp[:, pad:pad + h, pad:pad + w]
-
-
-def _conv2d_vjp_w(g, out, x, weight, bias=None, stride=1, pad=0):
-    c_out, c_in, kh, kw = weight.shape
-    c, h, w = x.shape
-    out_h, out_w = g.shape[1], g.shape[2]
-    if pad:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
+    _, h, w = x.shape
+    out_h, out_w = g.shape[1:]
+    g2 = g.reshape(c_out, -1)
+    w_taps = weight.transpose(2, 3, 1, 0)                   # [kh, kw, c_in, c_out]
+    gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad)) if needs[0] else None
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if needs[1] else None
     dw = np.empty(weight.shape)
     for ky in range(kh):
         for kx in range(kw):
-            patch = xp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride]
-            dw[:, :, ky, kx] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
-    return dw
+            window = (slice(None), slice(ky, ky + stride * out_h, stride),
+                      slice(kx, kx + stride * out_w, stride))
+            if needs[0]:
+                gp[window] += np.dot(w_taps[ky, kx], g2).reshape(c_in, out_h, out_w)
+            if needs[1]:
+                dw[:, :, ky, kx] = np.dot(g2, xp[window].transpose(1, 2, 0).reshape(-1, c_in))
+    return (gp[:, pad:pad + h, pad:pad + w] if needs[0] else None, dw if needs[1] else None,
+            g.sum(axis=(1, 2)) if len(needs) > 2 and needs[2] else None)
 
 
-conv2d = defop(ops.conv2d, _conv2d_vjp_x, _conv2d_vjp_w,
-               lambda g, out, *args, **kwargs: g.sum(axis=(1, 2)))
+conv2d = defop(ops.conv2d, _conv2d_vjp)
 
 
-def _avg_pool_vjp(g, out, x, k, stride=None):
-    if stride is None:
-        stride = k
+def _avg_pool_vjp(g, out, needs, x, k, stride=None):
+    stride = k if stride is None else stride
     c, h, w = x.shape
     out_h, out_w = g.shape[1], g.shape[2]
     pad_h = (out_h - 1) * stride + k - h
@@ -407,37 +399,29 @@ def _avg_pool_vjp(g, out, x, k, stride=None):
         dx[:, :, w - 1] += gp[:, :h, w:].sum(axis=2)
     if pad_h and pad_w:
         dx[:, h - 1, w - 1] += gp[:, h:, w:].sum(axis=(1, 2))
-    return dx
+    return (dx,)
 
 
 avg_pool = defop(ops.avg_pool, _avg_pool_vjp)
 
 
-def _depthwise_vjp_x(g, out, x, weight):
+def _depthwise_vjp(g, out, needs, x, weight):
     c, h, w = x.shape
     k = weight.shape[2]
     pad = (k - 1) // 2
-    gp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    for ky in range(k):
-        for kx in range(k):
-            gp[:, ky:ky + h, kx:kx + w] += weight[:, 0, ky, kx][:, None, None] * g
-    return gp[:, pad:pad + h, pad:pad + w]
-
-
-def _depthwise_vjp_w(g, out, x, weight):
-    c, h, w = x.shape
-    k = weight.shape[2]
-    pad = (k - 1) // 2
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = x
+    gp = np.zeros((c, h + 2 * pad, w + 2 * pad)) if needs[0] else None
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if needs[1] else None
     dw = np.empty_like(weight)
     for ky in range(k):
         for kx in range(k):
-            dw[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + w]).sum(axis=(1, 2))
-    return dw
+            if needs[0]:
+                gp[:, ky:ky + h, kx:kx + w] += weight[:, 0, ky, kx][:, None, None] * g
+            if needs[1]:
+                dw[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + w]).sum(axis=(1, 2))
+    return (gp[:, pad:pad + h, pad:pad + w] if needs[0] else None, dw if needs[1] else None)
 
 
-depthwise_conv = defop(ops.depthwise_conv, _depthwise_vjp_x, _depthwise_vjp_w)
+depthwise_conv = defop(ops.depthwise_conv, _depthwise_vjp)
 
 
 def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None):
@@ -445,13 +429,22 @@ def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None):
     return conv2d(depthwise_conv(x, dw_weight), pw_weight, pw_bias, 1, 0)
 
 
-def _bilinear_vjp(g, out, x, out_h, out_w):
+@functools.lru_cache(maxsize=32)
+def _bilinear_scatter(h, w, out_h, out_w):
+    """Flat input index and weight of each resize tap, tap-major, then row-major:
+    np.bincount sums in the order (and bits) of one np.add.at per tap."""
+    taps = ops.bilinear_taps(h, w, out_h, out_w)
+    return (np.concatenate([(yi[:, None] * w + xi[None, :]).ravel() for yi, xi, _ in taps]),
+            np.stack([wt for _, _, wt in taps]))
+
+
+def _bilinear_vjp(g, out, needs, x, out_h, out_w):
     if out.shape == x.shape:
-        return g
-    dx = np.zeros(x.shape)
-    for yi, xi, wt in ops.bilinear_taps(x.shape[1], x.shape[2], out_h, out_w):
-        np.add.at(dx, (slice(None), yi[:, None], xi[None, :]), g * wt)
-    return dx
+        return (g,)
+    index, weights = _bilinear_scatter(*x.shape[1:], out_h, out_w)
+    size = x.shape[1] * x.shape[2]
+    return (np.stack([np.bincount(index, weights=(gc * weights).ravel(), minlength=size)
+                      for gc in g]).reshape(x.shape),)
 
 
 bilinear_resize = defop(ops.bilinear_resize, _bilinear_vjp)

@@ -33,9 +33,15 @@ from .tensorfile import (load_annotation_file, read_tensor, save_annotation_file
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def _ensure_finite(arr, label: str) -> None:
+def _ensure_finite(arr, label: str, error=NumericError) -> None:
     if not np.isfinite(arr).all():
-        raise NumericError(f"{label}: non-finite values produced")
+        raise error(f"{label}: non-finite values")
+
+
+def _read_density(path) -> np.ndarray:
+    d = read_tensor(path)
+    _ensure_finite(d, f"density {path}", FormatError)
+    return d
 
 
 def _load_json(path, label: str) -> dict:
@@ -135,7 +141,7 @@ def cmd_gt_density(args) -> int:
 def cmd_calibrate(args) -> int:
     doc = _load_json(args.params, "calibrate params")
     params = calib_params(_resolve_seed(args, doc), c_mid=_num_field(doc, "c_mid", 4))
-    d = read_tensor(args.density)
+    d = _read_density(args.density)
     out = calibrate_density(d, params)
     _ensure_finite(out.values, "calibrated density")
     write_tensor(args.out, out.values)
@@ -145,7 +151,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_select_regions(args) -> int:
-    d = read_tensor(args.density)
+    d = _read_density(args.density)
     mask = threshold_mask(d, args.mode, args.value)
     refined, regions = refine_mask(mask)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -164,7 +170,7 @@ def cmd_dafm(args) -> int:
     x = read_tensor(args.features)
     if x.ndim != 3:
         raise InvalidArgumentError(f"dafm: features must be 3-D, got shape {x.shape}")
-    d = read_tensor(args.density)
+    d = _read_density(args.density)
     bank_kernel = _num_field(doc, "bank_kernel", 7)
     n_agents = expected_agents(x.shape[1], x.shape[2], bank_kernel)
     params = dafm_params(x.shape[0], _num_field(doc, "embed", x.shape[0]), n_agents,
@@ -198,7 +204,7 @@ def cmd_dffm(args) -> int:
     p = read_tensor(args.features)
     if p.ndim != 3:
         raise InvalidArgumentError(f"dffm: features must be 3-D, got shape {p.shape}")
-    d = read_tensor(args.density)
+    d = _read_density(args.density)
     try:
         kernel_set = tuple(int(k) for k in args.kernels.split(",") if k != "")
     except ValueError:

@@ -1,8 +1,9 @@
 """Deterministic random streams built on SplitMix64.
 
 Every stochastic choice in the library flows through this module so that
-equal seeds reproduce equal bits on any platform.  Streams can be forked
-by name (``derive``) so unrelated consumers never share state.
+equal seeds reproduce equal bits on the same numpy build and CPU features;
+elsewhere the SIMD-dispatched ``np.exp``/``np.log`` may round differently.
+Streams are forked by name (``derive``): consumers never share state.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Deterministic synthetic scenes of clustered tiny rectangles.
 
 All randomness flows through the library's SplitMix64 stream, so a seed
-pins every pixel and every annotation on any platform.  Scenes mimic the
-dense-tiny regime: a few cluster centers, Gaussian scatter of small boxes
-around each, unit-intensity rectangles on a noisy background.
+pins every pixel and annotation for one numpy build and CPU (see :mod:`.rng`).
+Scenes mimic the dense-tiny regime: a few cluster centers, Gaussian scatter
+of small boxes around each, unit-intensity rectangles on a noisy background.
 """
 
 from __future__ import annotations

@@ -335,3 +335,112 @@ def test_var_passed_by_keyword_is_rejected():
     out = ad.conv2d(ad.Var(x), w, b)        # positionally it differentiates
     ad.backward(ad.sum_all(out))
     assert np.array_equal(b.grad, np.full(3, 4.0))   # 2x2 outputs per channel
+
+
+# ---------------------------------------------------------------------------
+# the defop(forward, vjp) contract
+
+def _counting_op(calls):
+    """A test-registered op a*b + c whose vjp records each call's ``needs``
+    and the cotangents it actually computes."""
+    def vjp(g, out, needs, a, b, c):
+        calls.append(needs)
+        cts = (g * b if needs[0] else None, g * a if needs[1] else None,
+               g if needs[2] else None)
+        calls.append(tuple(ct is not None for ct in cts))
+        return cts
+    return ad.defop(lambda a, b, c: np.asarray(a) * np.asarray(b) + np.asarray(c), vjp)
+
+
+def test_vjp_runs_once_per_node():
+    calls = []
+    op = _counting_op(calls)
+    a = ad.Var(u(11, "g.once.a", (3, 4)))
+    b = ad.Var(u(11, "g.once.b", (3, 4)))
+    c = ad.Var(u(11, "g.once.c", (3, 4)))
+    inner = op(a, b, c)
+    ad.backward(ad.sum_all(op(inner, a, b)))     # two nodes; a and b feed both
+    assert calls == [(True, True, True)] * 4      # two calls: needs, computed
+    # cotangents land in argument order: the outer node's first
+    assert np.array_equal(a.grad, inner.value + a.value * b.value)
+    assert np.array_equal(b.grad, 1.0 + a.value * a.value)
+    assert np.array_equal(c.grad, a.value)
+    x = ad.Var(u(11, "g.once.x", (50,)))
+    g = u(12, "g.once.g", (50,))
+    ad.backward(op(x, x, x), g)                   # one Var in all three slots
+    assert np.array_equal(x.grad, (g * x.value + g * x.value) + g)
+
+
+def test_vjp_skips_arguments_that_are_not_vars():
+    calls = []
+    op = _counting_op(calls)
+    a = ad.Var(u(12, "g.skip.a", (2, 3)))
+    b = u(12, "g.skip.b", (2, 3))
+    out = op(a, b, 1.5)
+    assert isinstance(out, ad.Var) and len(out._parents) == 1
+    ad.backward(ad.sum_all(out))
+    assert calls == [(True, False, False), (True, False, False)]
+    assert np.array_equal(a.grad, b)
+    calls.clear()
+    assert isinstance(op(b, b, b), np.ndarray) and calls == []   # no tape, no vjp
+
+
+# ---------------------------------------------------------------------------
+# rewritten vjps keep the bits of their earlier forms
+
+def _conv_vjp_tensordot(g, x, weight, stride, pad):
+    """The per-tap tensordot contractions the conv2d vjp used to run."""
+    c_out, c_in, kh, kw = weight.shape
+    c, h, w = x.shape
+    out_h, out_w = g.shape[1], g.shape[2]
+    gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    dw = np.empty(weight.shape)
+    for ky in range(kh):
+        for kx in range(kw):
+            rows = slice(ky, ky + stride * out_h, stride)
+            cols = slice(kx, kx + stride * out_w, stride)
+            gp[:, rows, cols] += np.tensordot(weight[:, :, ky, kx], g, axes=([0], [0]))
+            dw[:, :, ky, kx] = np.tensordot(g, xp[:, rows, cols], axes=([1, 2], [1, 2]))
+    return gp[:, pad:pad + h, pad:pad + w], dw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("c_in,c_out,k,h,w", [(1, 4, 3, 9, 7), (8, 3, 3, 11, 8),
+                                              (12, 16, 3, 10, 13), (9, 5, 1, 6, 5),
+                                              (3, 8, 5, 13, 10)])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_vjp_bits_equal_tensordot_form(c_in, c_out, k, h, w, stride, pad):
+    x = u(c_in, "g.cvbits.x", (c_in, h, w))
+    weight = u(c_out, "g.cvbits.w", (c_out, c_in, k, k), 3)
+    bias = u(k, "g.cvbits.b", (c_out,))
+    xv, wv, bv = ad.Var(x), ad.Var(weight), ad.Var(bias)
+    out = ad.conv2d(xv, wv, bv, stride, pad)
+    g = u(h, "g.cvbits.g", out.shape)
+    got = ad.vjp(out, g, [xv, wv, bv])
+    for a, b in zip(got, _conv_vjp_tensordot(g, x, weight, stride, pad)):
+        assert np.array_equal(a, b)
+    # one argument a Var at a time: the other cotangents are not needed
+    assert np.array_equal(ad.vjp(ad.conv2d(xv, weight, bias, stride, pad), g, [xv])[0], got[0])
+    assert np.array_equal(ad.vjp(ad.conv2d(x, wv, None, stride, pad), g, [wv])[0], got[1])
+
+
+def _bilinear_vjp_add_at(g, shape):
+    """The sequential np.add.at scatter, one call per tap, that the resize
+    vjp used to run."""
+    c, h, w = shape
+    dx = np.zeros(shape)
+    for yi, xi, wt in ops.bilinear_taps(h, w, g.shape[1], g.shape[2]):
+        np.add.at(dx, (slice(None), yi[:, None], xi[None, :]), g * wt)
+    return dx
+
+
+@pytest.mark.parametrize("shape,target", [((3, 5, 7), (10, 14)), ((2, 8, 8), (16, 16)),
+                                          ((2, 16, 12), (7, 5)), ((4, 6, 6), (1, 1)),
+                                          ((1, 9, 4), (9, 11)), ((9, 7, 3), (2, 13))])
+def test_bilinear_vjp_bits_equal_add_at_form(shape, target):
+    x = ad.Var(u(shape[1], "g.blbits.x", shape))
+    out = ad.bilinear_resize(x, *target)
+    for seed in (1, 2):
+        g = u(seed, "g.blbits.g", out.shape)
+        assert np.array_equal(ad.vjp(out, g, [x])[0], _bilinear_vjp_add_at(g, shape))

@@ -283,15 +283,37 @@ def test_scene_spec_faults_exit_3(tmp_path, change, capsys):
 
 
 def test_exit_code_numeric_errors(tmp_path, capsys):
-    density = tmp_path / "nan.drmt"
-    bad = np.ones((1, 8, 8))
-    bad[0, 3, 3] = np.nan
-    write_tensor(density, bad)
+    # finite input whose fusion overflows: the non-finite output is exit 4
+    feats = tmp_path / "x.drmt"
+    density = tmp_path / "d.drmt"
+    write_tensor(feats, 1e300 * seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"seed": 1}))
-    assert run("calibrate", "--density", str(density), "--params", str(params),
-               "--out", str(tmp_path / "c.drmt")) == 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("dffm", "--features", str(feats), "--density", str(density),
+                   "--params", str(params), "--out", str(tmp_path / "f.drmt")) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["all-nan", "one-nan", "one-inf"])
+@pytest.mark.parametrize("command", ["select-regions", "dafm", "dffm", "calibrate"])
+def test_non_finite_density_exits_3(tmp_path, capsys, command, bad):
+    d = np.full((1, 32, 32), np.nan) if bad == "all-nan" else np.ones((1, 32, 32))
+    d[0, 3, 3] = {"all-nan": np.nan, "one-nan": np.nan, "one-inf": np.inf}[bad]
+    density = tmp_path / "d.drmt"
+    write_tensor(density, d)
+    feats = tmp_path / "x.drmt"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 32, 32), 4))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"seed": 1}))
+    out = tmp_path / "out"
+    args = {"select-regions": ["--out-dir", str(out)],
+            "calibrate": ["--params", str(params), "--out", str(out)]}.get(
+        command, ["--features", str(feats), "--params", str(params), "--out", str(out)])
+    assert run(command, "--density", str(density), *args) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

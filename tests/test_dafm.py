@@ -150,6 +150,33 @@ def test_sigmoid_gates_gradients_equal_composition_bits(m, n, d, bias_shape):
         assert np.array_equal(got, ref)
 
 
+def test_sigmoid_gates_full_bias_and_single_var_gradients_keep_bits():
+    # a full [m,n] bias takes its cotangent before the in-place 1/sqrt(d)
+    # scale; a lone Var argument gets the same bits as with all three
+    m, n, d = 30, 7, 4
+    a = u(11, "gf.a", (m, d), 1)
+    b = u(12, "gf.b", (n, d), 1)
+    bias = u(13, "gf.bias", (m, n), 1)
+    w = u(14, "gf.w", (m, n), 1)
+
+    def grads(gates, point):
+        out = ad.sum_all(ad.multiply(gates(*point), w))
+        ad.backward(out)
+        return [p.grad for p in point if isinstance(p, ad.Var)]
+
+    def composed(aa, bb, cc):
+        return ad.sigmoid(ad.add(
+            ad.scale(ad.matmul(aa, ad.transpose2d(bb)), 1.0 / math.sqrt(d)), cc))
+
+    leaves = [ad.Var(a), ad.Var(b), ad.Var(bias)]
+    fused = grads(ad.sigmoid_gates, leaves)
+    for got, ref in zip(fused, grads(composed, [ad.Var(v) for v in (a, b, bias)])):
+        assert np.array_equal(got, ref)
+    for i in range(3):
+        point = [leaves[j] if j == i else v for j, v in enumerate((a, b, bias))]
+        assert np.array_equal(grads(ad.sigmoid_gates, point)[0], fused[i])
+
+
 def test_sigmoid_gates_peak_memory_is_two_gate_buffers():
     m, n, d = 2000, 256, 16
     a = u(8, "gp.a", (m, d), 1)
