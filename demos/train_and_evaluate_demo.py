@@ -6,9 +6,9 @@ fresh scene into fake detections and runs the size-bucketed AP report on
 them, which is the same protocol the command-line `eval` uses.
 """
 
-from densefocus.cli import train_demo
 from densefocus.evalkit import ap_report
 from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
+from densefocus.train import train_demo
 
 steps = 40
 trace = train_demo(steps=steps, lr=0.05, seed=7)

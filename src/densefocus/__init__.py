@@ -12,7 +12,7 @@ block trainable.
 from .errors import (DenseFocusError, FormatError, InvalidArgumentError,
                      NumericError, UnsupportedOperationError)
 from .rng import Rng, fnv1a64
-from .params import ParamBundle, seeded_uniform
+from .params import seeded_uniform, tree_leaves, tree_replace
 from . import ops
 from . import autodiff
 from .ops import MacCounter, count_macs
@@ -34,14 +34,15 @@ from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, read_tensor,
                          save_annotation_file, write_heatmap, write_tensor)
 from .complexity import measured_global_attention_macs, measured_ifam_macs
-from .cli import cli_dispatch, main, train_demo
+from .train import train_demo
+from .cli import cli_dispatch, main
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DenseFocusError", "FormatError", "InvalidArgumentError", "NumericError",
     "UnsupportedOperationError",
-    "Rng", "fnv1a64", "ParamBundle", "seeded_uniform",
+    "Rng", "fnv1a64", "seeded_uniform", "tree_leaves", "tree_replace",
     "ops", "autodiff", "MacCounter", "count_macs",
     "Var", "backward", "grad_check", "vjp",
     "BBoxAnnotation", "CalibParams", "DensityMap", "DgbConfig",

@@ -1,4 +1,4 @@
-"""Command-line surface and the micro training demo.
+"""Command-line surface: argument parsing, file I/O and dispatch.
 
 Subcommands: synth, gt-density, calibrate, select-regions, dafm, dffm,
 eval, gradcheck, train-demo.  Exit codes: 0 success, 2 usage error,
@@ -9,7 +9,6 @@ check above tolerance).  All outputs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -18,9 +17,9 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
+from . import train
 from .dafm import dafm_forward, dafm_params, expected_agents
-from .density import (DgbConfig, calib_params, calibrate_density, density_loss,
-                      dgb_forward, dgb_params, gt_density, total_loss)
+from .density import calib_params, calibrate_density, gt_density
 from .dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params
 from .errors import (DenseFocusError, FormatError, InvalidArgumentError,
                      NumericError, UnsupportedOperationError)
@@ -29,8 +28,6 @@ from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, read_tensor, save_annotation_file,
                          write_heatmap, write_tensor)
-
-GRADCHECK_TOLERANCE = 1e-5
 
 
 def _ensure_finite(arr, label: str, error=NumericError) -> None:
@@ -232,183 +229,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def dafm_check_point(seed: int):
-    """Seeded micro inputs for finite-difference checks of the focused
-    attention block: features, density, parameters, reduction weights."""
-    from .params import seeded_uniform
-    x = 4.0 * seeded_uniform(seed, "check.dafm.x", (3, 8, 8), 9)
-    d = np.abs(seeded_uniform(seed, "check.dafm.density", (1, 8, 8), 1))
-    w_red = seeded_uniform(seed, "check.dafm.reduce", (3, 8, 8), 1)
-    params = dafm_params(3, 3, expected_agents(8, 8), seed)
-    return x, d, params, w_red
-
-
-# Input / mix-projector scale factors giving well-conditioned affinity
-# logits.  At unit scales the C x C softmax sits almost exactly at uniform,
-# gradients fall below the 1e-6 finite-difference noise floor, and the
-# comparison reads roundoff instead of the derivative.
-_DFFM_POINT_SCALES = (24.0, 4.0)
-
-
-def dffm_check_point(seed: int):
-    """Seeded micro inputs for finite-difference checks of the fusion block.
-
-    The parallel 3x3 conv path is zeroed (its output would inflate the
-    scalar without carrying any band-parameter gradient) and the mix
-    projectors are scaled so the affinity softmax stays responsive."""
-    from .params import seeded_uniform
-    x_scale, mix_scale = _DFFM_POINT_SCALES
-    x = x_scale * seeded_uniform(seed, "check.dffm.x", (4, 12, 12), 9)
-    d = np.abs(seeded_uniform(seed, "check.dffm.density", (1, 12, 12), 1))
-    w_red = seeded_uniform(seed, "check.dffm.reduce", (4, 12, 12), 1)
-    p0 = dffm_params(4, (3,), seed)
-    path = dataclasses.replace(p0.paths[0],
-                               mix_high=mix_scale * p0.paths[0].mix_high,
-                               mix_low=mix_scale * p0.paths[0].mix_low)
-    params = dataclasses.replace(p0, paths=[path],
-                                 conv_w=np.zeros_like(p0.conv_w),
-                                 conv_b=np.zeros_like(p0.conv_b))
-    return x, d, params, w_red
-
-
-def _edh_leaves(path):
-    """EdhParams fields in a fixed order for differentiation."""
-    return [path.mask_w, path.mask_b, path.ca_reduce, path.ca_expand,
-            path.sa_w, path.mix_high, path.mix_low]
-
-
-def _with_edh_leaves(params, leaves):
-    path = dataclasses.replace(
-        params.paths[0], mask_w=leaves[0], mask_b=leaves[1],
-        ca_reduce=leaves[2], ca_expand=leaves[3], sa_w=leaves[4],
-        mix_high=leaves[5], mix_low=leaves[6])
-    return dataclasses.replace(params, paths=[path])
-
-
-def _gradcheck_cases(module: str, seed: int):
-    """Micro scalar graphs per module; yields (label, fn, point)."""
-    from .params import seeded_uniform
-
-    def upoint(name, shape, fan=4):
-        return seeded_uniform(seed, f"check.{name}", shape, fan)
-
-    if module == "ops":
-        x = upoint("ops.x", (2, 6, 6))
-        w = upoint("ops.w", (3, 2, 3, 3), 18)
-        yield ("conv2d", lambda xx, ww: ad.sum_all(ad.conv2d(xx, ww, None, 1, 1)),
-               [x, w])
-        yield ("dct2", lambda xx: ad.sum_all(ad.multiply(ad.dct2(xx), ad.dct2(xx))),
-               [x])
-        yield ("avg_pool", lambda xx: ad.sum_all(ad.avg_pool(xx, 3, 2)), [x])
-    elif module == "density":
-        pred = upoint("density.pred", (1, 8, 8))
-        gt = np.abs(upoint("density.gt", (1, 8, 8)))
-        yield ("density_loss", lambda a, b: density_loss(a, b), [pred, gt])
-    elif module == "dafm":
-        x, d, params, w_red = dafm_check_point(seed)
-
-        def f_x(xx):
-            return ad.sum_all(ad.multiply(dafm_forward(xx, d, params), w_red))
-        yield ("dafm_forward/x", f_x, [x])
-
-        ifam_fields = [f.name for f in dataclasses.fields(params.ifam)
-                       if isinstance(getattr(params.ifam, f.name), np.ndarray)]
-
-        def f_params(*leaves):
-            ifam = dataclasses.replace(
-                params.ifam, **dict(zip(ifam_fields, leaves[:len(ifam_fields)])))
-            p = dataclasses.replace(params, ifam=ifam, dw_w=leaves[-1])
-            return ad.sum_all(ad.multiply(dafm_forward(x, d, p), w_red))
-        point = [getattr(params.ifam, n) for n in ifam_fields] + [params.dw_w]
-        yield ("dafm_forward/params", f_params, point)
-    elif module == "dffm":
-        x, d, params, w_red = dffm_check_point(seed)
-
-        def f_params(*leaves):
-            p = _with_edh_leaves(params, list(leaves))
-            return ad.sum_all(ad.multiply(dffm_forward(x, d, p, (3,)), w_red))
-        yield ("dffm_forward/band-params", f_params, _edh_leaves(params.paths[0]))
-
-        def f_x(xx):
-            return ad.sum_all(ad.multiply(dffm_forward(xx, d, params, (3,)), w_red))
-        yield ("dffm_forward/x", f_x, [x])
-    else:
-        raise InvalidArgumentError(f"gradcheck: unknown module {module!r}")
-
-
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     worst = 0.0
-    for label, fn, point in _gradcheck_cases(args.module, seed):
+    for label, fn, point in train._gradcheck_cases(args.module, seed):
         err = ad.grad_check(fn, point, eps=1e-6, seed=seed)
         _verbose(args, f"gradcheck {label}: max rel error {err:.3e}")
         worst = max(worst, err)
     print(f"max relative error: {worst:.6e}")
-    if not (worst < GRADCHECK_TOLERANCE) or math.isnan(worst):
+    if not (worst < train.GRADCHECK_TOLERANCE) or math.isnan(worst):
         raise NumericError(
-            f"gradcheck: {worst:.3e} above tolerance {GRADCHECK_TOLERANCE}")
+            f"gradcheck: {worst:.3e} above tolerance {train.GRADCHECK_TOLERANCE}")
     return 0
-
-
-def train_demo(steps: int = 200, lr: float = 0.05, seed: int = 7,
-               loss_weights=(1.0, 1.0, 1.0)):
-    """Fit the micro density branch to 8 synthetic 64x64 scenes by plain
-    gradient descent on the density loss.  Returns the loss trace, one entry
-    per evaluated step (length steps + 1)."""
-    if steps < 0:
-        raise InvalidArgumentError(f"train_demo: steps must be >= 0, got {steps}")
-    if not math.isfinite(lr) or lr < 0:
-        raise InvalidArgumentError(f"train_demo: bad learning rate {lr}")
-    cfg = DgbConfig()
-    scenes = []
-    for i in range(8):
-        spec = SceneSpec(width=64, height=64, n_clusters=2,
-                         objects_per_cluster=(3, 6), object_size=(3, 8),
-                         cluster_spread=7.0, seed=seed * 1000 + i)
-        image, annotations = generate_scene(spec, image_id=i + 1)
-        target = gt_density(annotations, 64, 64).values
-        scenes.append((image, target))
-    params = dgb_params(cfg, 1, seed)
-
-    def batch_loss(leaves):
-        acc = None
-        for image, target in scenes:
-            pred = dgb_forward(image, leaves, cfg)
-            term = total_loss(0.0, 0.0, density_loss(pred, target),
-                              weights=loss_weights)
-            acc = term if acc is None else ad.add(acc, term)
-        return ad.scale(acc, 1.0 / len(scenes))
-
-    trace = []
-    for _ in range(steps):
-        leaves = {name: ad.Var(params[name]) for name in params}
-        loss = batch_loss(leaves)
-        value = float(loss.value)
-        if not math.isfinite(value):
-            raise NumericError(f"train_demo: loss became {value}")
-        trace.append(value)
-        ad.backward(loss)
-        for name in params:
-            grad = leaves[name].grad
-            if grad is not None:
-                params[name] = params[name] - lr * grad
-    final_leaves = {name: ad.Var(params[name]) for name in params}
-    final = float(batch_loss(final_leaves).value)
-    if not math.isfinite(final):
-        raise NumericError(f"train_demo: loss became {final}")
-    trace.append(final)
-    return trace
 
 
 def cmd_train_demo(args) -> int:
     seed = args.seed if args.seed is not None else 7
-    try:
-        weights = tuple(float(v) for v in args.loss_weights.split(","))
-    except ValueError:
-        raise InvalidArgumentError(
-            f"train-demo: bad --loss-weights value {args.loss_weights!r}")
-    trace = train_demo(steps=args.steps, lr=args.lr, seed=seed,
-                       loss_weights=weights)
+    trace = train.train_demo(steps=args.steps, lr=args.lr, seed=seed)
     lines = ["step,loss"]
     lines += [f"{i},{v!r}" for i, v in enumerate(trace)]
     payload = "\n".join(lines) + "\n"
@@ -498,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--trace", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--loss-weights", default="1,1,1",
-                   help="regression,classification,density loss coefficients")
     p.set_defaults(func=cmd_train_demo)
     return parser
 

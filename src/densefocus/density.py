@@ -10,7 +10,7 @@ makes integer translations of the input reproduce bit-identical maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InvalidArgumentError
 from .ops import as_tensor
-from .params import ParamBundle, seeded_uniform
+from .params import seeded_uniform
 
 
 @dataclass
@@ -208,20 +208,19 @@ def dgb_channel_plan(cfg: DgbConfig, in_channels: int):
     return enc, dec
 
 
-def dgb_params(cfg: DgbConfig, in_channels: int, seed: int) -> ParamBundle:
+def dgb_params(cfg: DgbConfig, in_channels: int, seed: int) -> dict:
+    """Name -> array mapping of the density branch, in layer order."""
     if in_channels < 1:
         raise InvalidArgumentError(f"dgb_params: in_channels must be >= 1, got {in_channels}")
-    bundle = ParamBundle(seed)
     enc, dec = dgb_channel_plan(cfg, in_channels)
-    for i, (ci, co) in enumerate(enc):
-        bundle.uniform(f"enc{i}.w", (co, ci, 3, 3), ci * 9)
-        bundle.uniform(f"enc{i}.b", (co,), ci * 9)
-    for i, (ci, co) in enumerate(dec):
-        bundle.uniform(f"dec{i}.w", (co, ci, 3, 3), ci * 9)
-        bundle.uniform(f"dec{i}.b", (co,), ci * 9)
-    bundle.uniform("reg.w", (1, cfg.base_channels, 3, 3), cfg.base_channels * 9)
-    bundle.uniform("reg.b", (1,), cfg.base_channels * 9)
-    return bundle
+    layers = [(f"enc{i}", ci, co) for i, (ci, co) in enumerate(enc)]
+    layers += [(f"dec{i}", ci, co) for i, (ci, co) in enumerate(dec)]
+    layers.append(("reg", cfg.base_channels, 1))
+    params = {}
+    for name, ci, co in layers:
+        params[f"{name}.w"] = seeded_uniform(seed, f"{name}.w", (co, ci, 3, 3), ci * 9)
+        params[f"{name}.b"] = seeded_uniform(seed, f"{name}.b", (co,), ci * 9)
+    return params
 
 
 def dgb_forward(x, params, cfg: DgbConfig):
@@ -263,7 +262,6 @@ class CalibParams:
     b1: object
     w2: object
     b2: object
-    names: tuple = field(default=("w1", "b1", "w2", "b2"), repr=False)
 
 
 def calib_params(seed: int, c_mid: int = 4) -> CalibParams:

@@ -46,6 +46,9 @@ def edh_params(channels: int, seed: int, tag: str = "0", ca_reduction: int = 4,
         raise InvalidArgumentError(f"edh_params: channels must be >= 1, got {channels}")
     if sa_kernel < 1 or sa_kernel % 2 == 0:
         raise InvalidArgumentError(f"edh_params: sa_kernel must be odd, got {sa_kernel}")
+    if ca_reduction < 1:
+        raise InvalidArgumentError(
+            f"edh_params: ca_reduction must be >= 1, got {ca_reduction}")
     mid = max(1, channels // ca_reduction)
     pre = f"edh{tag}."
     return EdhParams(

@@ -1,16 +1,22 @@
-"""Seeded parameter containers.
+"""Seeded parameter initialization and parameter trees.
 
 Initialization rule used throughout: each named tensor gets its own
 SplitMix64 stream derived from ``(seed, name)`` and is filled in C order
 with uniform draws on [-1/sqrt(fan_in), +1/sqrt(fan_in)].  Equal seeds give
 bit-identical tensors, which is what lets the CLI ship parameters as a
 seed-plus-hyperparameters JSON instead of a weight blob.
+
+Every module keeps its parameters in a tree of dataclasses, lists and
+dicts with arrays at the leaves.  :func:`tree_leaves` flattens any such
+tree and :func:`tree_replace` rebuilds it, which is all a gradient step or
+a finite-difference check needs, whatever the module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -31,43 +37,40 @@ def seeded_uniform(seed: int, name: str, shape: tuple, fan_in: int) -> np.ndarra
     return arr
 
 
-class ParamBundle(Mapping[str, np.ndarray]):
-    """Ordered name -> tensor mapping with seeded constructors.
+def tree_leaves(tree) -> list:
+    """The leaves of a parameter tree in a fixed order.
 
-    Tensors may be reassigned (``bundle["w"] = new``) so optimizer steps can
-    write updates back; iteration order is insertion order.
+    Dataclass fields are walked in declaration order, list items in index
+    order and dict values in insertion order; any other value is a leaf.
     """
+    if dataclasses.is_dataclass(tree) and not isinstance(tree, type):
+        return [leaf for f in dataclasses.fields(tree)
+                for leaf in tree_leaves(getattr(tree, f.name))]
+    if isinstance(tree, list):
+        return [leaf for item in tree for leaf in tree_leaves(item)]
+    if isinstance(tree, dict):
+        return [leaf for value in tree.values() for leaf in tree_leaves(value)]
+    return [tree]
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._tensors: dict[str, np.ndarray] = {}
 
-    def uniform(self, name: str, shape: tuple, fan_in: int) -> np.ndarray:
-        self._tensors[name] = seeded_uniform(self.seed, name, tuple(shape), fan_in)
-        return self._tensors[name]
+def _rebuild(tree, leaves: Iterator):
+    """``tree`` with its leaves drawn in order from ``leaves``."""
+    if dataclasses.is_dataclass(tree) and not isinstance(tree, type):
+        return dataclasses.replace(tree, **{f.name: _rebuild(getattr(tree, f.name), leaves)
+                                            for f in dataclasses.fields(tree)})
+    if isinstance(tree, list):
+        return [_rebuild(item, leaves) for item in tree]
+    if isinstance(tree, dict):
+        return {key: _rebuild(value, leaves) for key, value in tree.items()}
+    return next(leaves)
 
-    def zeros(self, name: str, shape: tuple) -> np.ndarray:
-        self._tensors[name] = np.zeros(tuple(shape))
-        return self._tensors[name]
 
-    def identity(self, name: str, n: int) -> np.ndarray:
-        self._tensors[name] = np.eye(n)
-        return self._tensors[name]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
-
-    def __setitem__(self, name: str, value) -> None:
-        if name not in self._tensors:
-            raise KeyError(f"unknown parameter {name!r}")
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != self._tensors[name].shape:
-            raise InvalidArgumentError(
-                f"parameter {name!r}: shape {arr.shape} != {self._tensors[name].shape}")
-        self._tensors[name] = arr
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
-
-    def __len__(self) -> int:
-        return len(self._tensors)
+def tree_replace(tree, leaves):
+    """A copy of ``tree`` whose leaves, in :func:`tree_leaves` order, are
+    ``leaves``.  The containers are new; the input tree is left as it is."""
+    leaves = list(leaves)
+    expected = len(tree_leaves(tree))
+    if len(leaves) != expected:
+        raise InvalidArgumentError(
+            f"tree_replace: got {len(leaves)} leaves for a tree of {expected}")
+    return _rebuild(tree, iter(leaves))

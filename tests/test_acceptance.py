@@ -16,8 +16,7 @@ import pytest
 import oracles
 from densefocus import autodiff as ad
 from densefocus import ops
-from densefocus.cli import (GRADCHECK_TOLERANCE, _gradcheck_cases, cli_dispatch,
-                            train_demo)
+from densefocus.cli import cli_dispatch
 from densefocus.complexity import (measured_global_attention_macs,
                                    measured_ifam_macs)
 from densefocus.density import BBoxAnnotation, gt_density
@@ -26,6 +25,7 @@ from densefocus.evalkit import SIZE_BUCKETS, Detection, ap_report
 from densefocus.params import seeded_uniform
 from densefocus.regions import refine_mask
 from densefocus.rng import Rng
+from densefocus.train import GRADCHECK_TOLERANCE, _gradcheck_cases, train_demo
 
 
 def ok(n, msg):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from densefocus.cli import GRADCHECK_TOLERANCE, cli_dispatch, train_demo
+from densefocus.cli import cli_dispatch
 from densefocus.dafm import expected_agents
 from densefocus.errors import InvalidArgumentError
 from densefocus.evalkit import ap_report
@@ -13,6 +13,7 @@ from densefocus.params import seeded_uniform
 from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
 from densefocus.tensorfile import (load_annotation_file, read_tensor,
                                    save_annotation_file, write_tensor)
+from densefocus.train import GRADCHECK_TOLERANCE, train_demo
 
 
 def run(*argv):
@@ -205,6 +206,8 @@ def test_malformed_annotation_file_exits_3(tmp_path, scene_dir, change, capsys):
     ("dafm", {"bank_kernel": 0}, 2),
     ("dafm", {"bank_kernel": -1}, 2),
     ("dafm", {"seed": 2.0, "bank_kernel": 4.0}, 0),
+    ("dffm", {"ca_reduction": 0}, 2),
+    ("dffm", {"ca_reduction": -3}, 2),
 ])
 def test_params_file_fields(tmp_path, command, doc, code, capsys):
     feats, density = tmp_path / "x.drmt", tmp_path / "d.drmt"

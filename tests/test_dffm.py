@@ -164,6 +164,9 @@ def test_edh_params_validation():
         edh_params(0, seed=1)
     with pytest.raises(InvalidArgumentError):
         edh_params(4, seed=1, sa_kernel=4)
+    for bad in (0, -3):
+        with pytest.raises(InvalidArgumentError, match="ca_reduction"):
+            edh_params(8, seed=1, ca_reduction=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Seeded parameter initialization and the bundle container."""
+"""Seeded parameter initialization and parameter trees."""
 
 import numpy as np
 import pytest
 
+from densefocus.dafm import dafm_params
+from densefocus.density import DgbConfig, calib_params, dgb_params
+from densefocus.dffm import dffm_params
 from densefocus.errors import InvalidArgumentError
-from densefocus.params import ParamBundle, seeded_uniform
+from densefocus.params import seeded_uniform, tree_leaves, tree_replace
 from densefocus.rng import Rng
 
 
@@ -33,25 +36,74 @@ def test_seeded_uniform_bad_fan_in():
         seeded_uniform(0, "w", (2,), 0)
 
 
-def test_bundle_constructors_and_order():
-    b = ParamBundle(5)
-    w = b.uniform("w", (2, 2), 4)
-    z = b.zeros("z", (3,))
-    i = b.identity("i", 2)
-    assert list(b) == ["w", "z", "i"]
-    assert np.array_equal(b["w"], w)
-    assert np.array_equal(z, np.zeros(3))
-    assert np.array_equal(i, np.eye(2))
-    assert len(b) == 3
-    assert np.array_equal(b["w"], seeded_uniform(5, "w", (2, 2), 4))
+PARAM_TREES = {
+    "dgb": lambda: dgb_params(DgbConfig(), 1, seed=3),
+    "dafm": lambda: dafm_params(4, 3, 9, seed=3),
+    "dffm": lambda: dffm_params(4, (3, 6, 9), seed=3),
+    "calib": lambda: calib_params(3),
+}
 
 
-def test_bundle_update_keeps_shape_contract():
-    b = ParamBundle(1)
-    b.zeros("w", (2, 2))
-    b["w"] = np.ones((2, 2))
-    assert np.array_equal(b["w"], np.ones((2, 2)))
-    with pytest.raises(InvalidArgumentError):
-        b["w"] = np.ones((3, 3))
-    with pytest.raises(KeyError):
-        b["nope"] = np.ones((2, 2))
+def assert_same_tree(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same_tree(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_tree(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        for name in vars(a):
+            assert_same_tree(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("module", sorted(PARAM_TREES))
+def test_tree_round_trip_keeps_structure_and_leaf_order(module):
+    tree = PARAM_TREES[module]()
+    leaves = tree_leaves(tree)
+    assert leaves and all(isinstance(leaf, np.ndarray) for leaf in leaves)
+    rebuilt = tree_replace(tree, leaves)
+    assert_same_tree(rebuilt, tree)
+    assert [id(x) for x in tree_leaves(rebuilt)] == [id(x) for x in leaves]
+    again = tree_leaves(PARAM_TREES[module]())
+    assert [x.tobytes() for x in again] == [x.tobytes() for x in leaves]
+
+
+def test_tree_leaf_order_follows_fields_lists_and_dicts():
+    dgb = dgb_params(DgbConfig(), 1, seed=3)
+    assert [id(x) for x in tree_leaves(dgb)] == [id(x) for x in dgb.values()]
+    dafm = dafm_params(4, 3, 9, seed=3)
+    ifam = dafm.ifam
+    assert [id(x) for x in tree_leaves(dafm)] == [id(x) for x in (
+        dafm.bank_w, dafm.bank_b, ifam.w_query, ifam.w_key, ifam.w_value,
+        ifam.w_out, ifam.bias_fwd, ifam.bias_bwd, dafm.dw_w, dafm.pw_w, dafm.pw_b)]
+    dffm = dffm_params(4, (3, 6, 9), seed=3)
+    expected = tree_leaves(dffm.calib) + [
+        leaf for path in dffm.paths for leaf in tree_leaves(path)] + [
+        dffm.conv_w, dffm.conv_b, dffm.out_w, dffm.out_b]
+    assert [id(x) for x in tree_leaves(dffm)] == [id(x) for x in expected]
+    assert len(tree_leaves(dffm)) == 4 + 3 * 7 + 4
+
+
+def test_tree_replace_swaps_leaves_without_touching_the_input():
+    tree = dffm_params(4, (3, 6), seed=3)
+    before = [x.copy() for x in tree_leaves(tree)]
+    zeros = [np.zeros_like(x) for x in before]
+    rebuilt = tree_replace(tree, zeros)
+    assert all(not x.any() for x in tree_leaves(rebuilt))
+    assert rebuilt.paths is not tree.paths
+    assert all(np.array_equal(x, y) for x, y in zip(tree_leaves(tree), before))
+
+
+@pytest.mark.parametrize("module", sorted(PARAM_TREES))
+def test_tree_replace_rejects_a_wrong_leaf_count(module):
+    tree = PARAM_TREES[module]()
+    leaves = tree_leaves(tree)
+    with pytest.raises(InvalidArgumentError, match="tree_replace"):
+        tree_replace(tree, leaves[:-1])
+    with pytest.raises(InvalidArgumentError, match="tree_replace"):
+        tree_replace(tree, leaves + [leaves[0]])
