@@ -35,9 +35,18 @@ from .tensorfile import (load_annotation_file, read_tensor,
                          save_annotation_file, write_heatmap, write_tensor)
 from .complexity import measured_global_attention_macs, measured_ifam_macs
 from .train import train_demo
-from .cli import cli_dispatch, main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the CLI loads on first use, so `python -m densefocus.cli` does not find
+    # densefocus.cli already imported by the package
+    if name in ("cli_dispatch", "main"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DenseFocusError", "FormatError", "InvalidArgumentError", "NumericError",

@@ -236,14 +236,15 @@ def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarra
 # ---------------------------------------------------------------------------
 # activations
 
-def _sigmoid_into(x: np.ndarray) -> np.ndarray:
+def _sigmoid_into(x: np.ndarray, num: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic, overwriting the float64 array ``x``.
 
     With t = exp(-|x|) in (0, 1], max([x >= 0], t) / (1 + t) is 1/(1+t)
     for x >= 0 and t/(1+t) otherwise, bit for bit, NaN included, without
-    a mask: one extra buffer of x's size holds the numerator.
+    a mask: one extra buffer of x's shape holds the numerator, allocated
+    here unless the caller passes ``num`` to reuse.
     """
-    num = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    num = np.greater_equal(x, 0.0, out=np.empty_like(x) if num is None else num)
     np.abs(x, out=x)
     np.negative(x, out=x)
     np.exp(x, out=x)
@@ -286,13 +287,22 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+# elements per row block of the gate passes: 512 KB, so a block stays in L2
+# through all of them
+_GATE_BLOCK = 1 << 16
+
+
 def sigmoid_gates(a, b, bias) -> np.ndarray:
     """Attention gates sigmoid(a @ b^T / sqrt(d) + bias) for a [m,d] and
-    b [n,d], built in the one [m,n] buffer that the product allocates.
+    b [n,d], built in the one owned [m,n] buffer that the product allocates.
 
-    bias broadcasts against [m,n] without growing it: [m,1] is one scalar
-    per row, [1,n] one per column.  Equal bit for bit to the composition
-    matmul -> scale -> add -> sigmoid.
+    The product is one BLAS call; the scale, bias and sigmoid passes then
+    run one row block at a time, so each block stays in cache through all
+    of them, and one block-sized numerator serves every block.  bias
+    broadcasts against [m,n] without growing it: [m,1] is one scalar per
+    row, [1,n] one per column.  Every pass after the product is
+    elementwise, so the result equals the composition matmul -> scale ->
+    add -> sigmoid bit for bit.
     """
     a = as_tensor(a, "gates lhs")
     b = as_tensor(b, "gates rhs")
@@ -307,9 +317,15 @@ def sigmoid_gates(a, b, bias) -> np.ndarray:
             f"sigmoid_gates: bias shape {bias.shape} does not broadcast to ({m},{n})")
     _tally(m * d * n)
     g = a @ b.T.copy()
-    g *= 1.0 / math.sqrt(d)
-    g += bias
-    return _sigmoid_into(g)
+    scale = 1.0 / math.sqrt(d)
+    rows = max(1, _GATE_BLOCK // max(n, 1))
+    num = np.empty((min(rows, m), n))
+    for r in range(0, m, rows):
+        blk = g[r:r + rows]
+        blk *= scale
+        blk += bias if bias.shape[0] == 1 else bias[r:r + rows]
+        _sigmoid_into(blk, num[:len(blk)])
+    return g
 
 
 # ---------------------------------------------------------------------------

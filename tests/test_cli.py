@@ -1,10 +1,16 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densefocus
+from densefocus import cli
 from densefocus.cli import cli_dispatch
 from densefocus.dafm import expected_agents
 from densefocus.errors import InvalidArgumentError
@@ -18,6 +24,26 @@ from densefocus.train import GRADCHECK_TOLERANCE, train_demo
 
 def run(*argv):
     return cli_dispatch(list(argv))
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "densefocus.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "usage" in proc.stdout
+
+
+def test_package_resolves_cli_names_lazily():
+    assert {"cli_dispatch", "main"} <= set(densefocus.__all__)
+    assert densefocus.cli_dispatch is cli.cli_dispatch
+    assert densefocus.main is cli.main
+    with pytest.raises(AttributeError):
+        densefocus.no_such_name
 
 
 @pytest.fixture

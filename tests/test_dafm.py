@@ -192,6 +192,21 @@ def test_sigmoid_gates_peak_memory_is_two_gate_buffers():
     assert peak <= 2.5 * m * n * 8
 
 
+def test_sigmoid_gates_peak_memory_is_one_gate_buffer():
+    m, n, d = 8000, 256, 16
+    a = u(11, "gp1.a", (m, d), 1)
+    b = u(12, "gp1.b", (n, d), 1)
+    bias = u(13, "gp1.bias", (m, 1), 1)
+    tracemalloc.start()
+    try:
+        gates = ad.sigmoid_gates(a, b, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gates.shape == (m, n)
+    assert peak <= 1.1 * m * n * 8
+
+
 # ---------------------------------------------------------------------------
 # full block
 

@@ -227,6 +227,46 @@ def test_sigmoid_gates_bit_exact_vs_composition():
     assert_same_bits(ops.sigmoid_gates(a_nc, b_nc, bias_nc), ref)
 
 
+def strided(x):
+    """A non-contiguous view holding the values of the 2-D array x."""
+    view = np.repeat(x, 2, axis=1)[:, ::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
+# (n, m): three full row blocks and a ragged fourth; then n above the block
+# size, so that every block is a single row
+GATE_BLOCK_SHAPES = [(300, 3 * (ops._GATE_BLOCK // 300) + 50),
+                     (ops._GATE_BLOCK + 5, 2 + len(SPECIALS))]
+
+
+@pytest.mark.parametrize("n,m", GATE_BLOCK_SHAPES)
+@pytest.mark.parametrize("bias_shape", ["m1", "1n", "mn"])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, strided])
+def test_sigmoid_gates_bit_exact_across_row_blocks(n, m, bias_shape, layout):
+    d = 5
+    rows = max(1, ops._GATE_BLOCK // n)
+    assert -(-m // rows) >= 3 and (m % rows or rows == 1)
+    # a prime-length seeded run, tiled, keeps the pure-Python fill short
+    a, b, bias = (np.resize(u(45 + i, f"gb.{i}", (4099,), 1), shape) for i, shape in enumerate(
+        [(m, d), (n, d), {"m1": (m, 1), "1n": (1, n), "mn": (m, n)}[bias_shape]]))
+    a *= 6.0
+    b *= 6.0
+    # specials in the second block: rows whose score is the bias alone
+    r0 = rows
+    a[r0:r0 + len(SPECIALS)] = 0.0
+    if bias_shape == "m1":
+        bias[r0:r0 + len(SPECIALS), 0] = SPECIALS
+    elif bias_shape == "1n":
+        bias[0, 3:3 + len(SPECIALS)] = SPECIALS
+    else:
+        bias[r0:r0 + len(SPECIALS), 0] = SPECIALS
+        bias[-1, -len(SPECIALS):] = SPECIALS        # last, ragged block
+    a, b, bias = layout(a), layout(b), layout(bias)
+    ref = where_sigmoid(a @ b.T.copy() * (1.0 / math.sqrt(d)) + bias)
+    assert_same_bits(ops.sigmoid_gates(a, b, bias), ref)
+
+
 def test_sigmoid_kernels_do_not_write_into_arguments():
     x = np.concatenate([SPECIALS, u(39, "sig.w", (50,), 1)])
     a, b, bias = u(40, "gw.a", (7, 3), 1), u(41, "gw.b", (5, 3), 1), u(42, "gw.c", (7, 1), 1)
@@ -243,6 +283,7 @@ def test_sigmoid_gates_macs_and_validation():
     with ops.count_macs() as counter:
         ops.sigmoid_gates(a, b, np.zeros((1, n)))
     assert counter.macs == m * n * d
+    assert ops.sigmoid_gates(a, b[:0], np.zeros((1, 1))).shape == (m, 0)
     for bad_a, bad_b, bad_bias in [(a, b[:, :3], np.zeros((1, n))),
                                    (a[0], b, np.zeros((1, n))),
                                    (a, b, np.zeros(n)),
