@@ -21,8 +21,7 @@ from . import train
 from .dafm import dafm_forward, dafm_params, expected_agents
 from .density import calib_params, calibrate_density, gt_density
 from .dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params
-from .errors import (DenseFocusError, FormatError, InvalidArgumentError,
-                     NumericError, UnsupportedOperationError)
+from .errors import DenseFocusError, FormatError, InvalidArgumentError, NumericError
 from .evalkit import ap_report
 from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
@@ -353,13 +352,7 @@ def cli_dispatch(argv) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (InvalidArgumentError, UnsupportedOperationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DenseFocusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DenseFocusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

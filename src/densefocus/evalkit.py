@@ -218,31 +218,14 @@ def average_precision(flags, total_gt: int) -> float:
     """101-point interpolated AP from score-ordered TP/FP flags."""
     if total_gt == 0:
         return -1.0
-    kept = [bool(f) for f in flags if f is not None]
-    if not kept:
+    kept = np.array([bool(f) for f in flags if f is not None], dtype=bool)
+    if not kept.size:
         return 0.0
-    precisions = []
-    recalls = []
-    tp = fp = 0
-    for f in kept:
-        if f:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / total_gt)
-    for i in range(len(precisions) - 2, -1, -1):
-        if precisions[i] < precisions[i + 1]:
-            precisions[i] = precisions[i + 1]
-    ap = 0.0
-    j = 0
-    for i in range(101):
-        r = i / 100.0
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        if j < len(recalls):
-            ap += precisions[j]
-    return ap / 101.0
+    tp = np.cumsum(kept)
+    precision = np.maximum.accumulate((tp / np.arange(1, kept.size + 1))[::-1])[::-1]
+    hits = np.searchsorted(tp / total_gt, np.arange(101) / 100.0, side="left")
+    # a left-to-right running sum: np.sum (pairwise) and sum() on Python >= 3.12 round differently
+    return float(np.cumsum(precision[hits[hits < kept.size]])[-1]) / 101.0
 
 
 def _ap_at(dets, groups, categories, thresh, bucket=None):

@@ -49,38 +49,43 @@ def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.n
     raise InvalidArgumentError(f"threshold_mask: unknown mode {mode!r}")
 
 
-def kmeans2(points, h: int, w: int, max_iter: int = 100, tol: float = 1e-6):
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-6
+
+
+def _squares(values, center):
+    # Python's float ** 2 is libm pow, which rounds unlike numpy's square on some inputs.
+    return np.array([(v - center) ** 2 for v in values.tolist()])
+
+
+def _in_cluster2(pts, h: int, w: int) -> np.ndarray:
+    """Lloyd iteration over an [N,2] float point array; True marks cluster 2."""
+    if not len(pts):
+        raise InvalidArgumentError("kmeans2: empty point set")
+    rows, row_of = np.unique(pts[:, 0], return_inverse=True)
+    cols, col_of = np.unique(pts[:, 1], return_inverse=True)
+    cents = [(1.0, 1.0), (float(h), float(w))]
+    for _ in range(_KMEANS_MAX_ITER):
+        d1, d2 = (_squares(rows, r)[row_of] + _squares(cols, c)[col_of] for r, c in cents)
+        in2 = ~(d1 <= d2)  # ties to cluster 1
+        new = [tuple((pts[sel].sum(axis=0) / sel.sum()).tolist()) if sel.any() else old
+               for sel, old in zip((~in2, in2), cents)]
+        move = max(math.hypot(n[0] - o[0], n[1] - o[1]) for n, o in zip(new, cents))
+        cents = new
+        if move <= _KMEANS_TOL:
+            break
+    return in2
+
+
+def kmeans2(points, h: int, w: int):
     """Two-cluster Lloyd iteration over (row, col) points on an h x w grid.
 
     Centroids start at the opposite corners (1,1) and (h,w) in the 1-based
     convention the points use.  Distance ties assign to cluster 1; an empty
     cluster keeps its centroid.  Returns a label (1 or 2) per point.
     """
-    pts = [(float(r), float(c)) for r, c in points]
-    if not pts:
-        raise InvalidArgumentError("kmeans2: empty point set")
-    c1 = (1.0, 1.0)
-    c2 = (float(h), float(w))
-    labels = [1] * len(pts)
-    for _ in range(max_iter):
-        for i, (r, c) in enumerate(pts):
-            d1 = (r - c1[0]) ** 2 + (c - c1[1]) ** 2
-            d2 = (r - c2[0]) ** 2 + (c - c2[1]) ** 2
-            labels[i] = 1 if d1 <= d2 else 2
-        sums = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}
-        for (r, c), lab in zip(pts, labels):
-            acc = sums[lab]
-            acc[0] += r
-            acc[1] += c
-            acc[2] += 1
-        new1 = (sums[1][0] / sums[1][2], sums[1][1] / sums[1][2]) if sums[1][2] else c1
-        new2 = (sums[2][0] / sums[2][2], sums[2][1] / sums[2][2]) if sums[2][2] else c2
-        move = max(math.hypot(new1[0] - c1[0], new1[1] - c1[1]),
-                   math.hypot(new2[0] - c2[0], new2[1] - c2[1]))
-        c1, c2 = new1, new2
-        if move <= tol:
-            break
-    return labels
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return np.where(_in_cluster2(pts, h, w), 2, 1).tolist()
 
 
 @dataclass
@@ -112,7 +117,7 @@ class RegionSet:
 def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     """Replace a binary mask by the union of its two cluster rectangles.
 
-    Active pixels are enumerated row-major, clustered with :func:`kmeans2`
+    Active pixels are enumerated row-major, clustered as in :func:`kmeans2`
     (1-based coordinates), and each non-empty cluster contributes its
     bounding rectangle.  An empty mask maps to an empty mask and no regions.
     """
@@ -133,17 +138,10 @@ def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     if rows.size == 0:
         return np.zeros((1, h, w)), RegionSet([], (h, w))
 
-    points = [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]
-    labels = kmeans2(points, h, w)
-
-    rectangles = []
-    for lab in (1, 2):
-        member_rows = [p[0] for p, l in zip(points, labels) if l == lab]
-        member_cols = [p[1] for p, l in zip(points, labels) if l == lab]
-        if not member_rows:
-            continue
-        rectangles.append((min(member_rows) - 1, max(member_rows) - 1,
-                           min(member_cols) - 1, max(member_cols) - 1))
+    in2 = _in_cluster2(np.stack([rows + 1, cols + 1], axis=1).astype(np.float64), h, w)
+    rectangles = [(int(rows[sel].min()), int(rows[sel].max()),
+                   int(cols[sel].min()), int(cols[sel].max()))
+                  for sel in (~in2, in2) if sel.any()]
 
     out = np.zeros((1, h, w))
     for r0, r1, c0, c1 in rectangles:

@@ -13,7 +13,8 @@ import densefocus
 from densefocus import cli
 from densefocus.cli import cli_dispatch
 from densefocus.dafm import expected_agents
-from densefocus.errors import InvalidArgumentError
+from densefocus.errors import (DenseFocusError, FormatError, InvalidArgumentError,
+                               NumericError, UnsupportedOperationError)
 from densefocus.evalkit import ap_report
 from densefocus.params import seeded_uniform
 from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
@@ -282,6 +283,28 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert run("no-such-command") == 2
     assert run("gt-density", "--annotations", str(tmp_path / "x.json")) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (InvalidArgumentError("bad"), 2), (UnsupportedOperationError("bad"), 2),
+    (DenseFocusError("bad"), 2), (NotADirectoryError("bad"), 2),
+    (FormatError("bad"), 3), (NumericError("bad"), 4),
+])
+def test_exit_code_per_error_class(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_train_demo", fail)
+    assert run("train-demo", "--steps", "1") == code
+    assert capsys.readouterr().err == "error: bad\n"
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 16, "height": 16, "n_clusters": 1}))
+    assert run("synth", "--spec", str(spec), "--out-dir", str(blocker / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_code_format_errors(tmp_path, capsys):

@@ -206,6 +206,46 @@ def test_ap_trailing_fp_is_free_and_tp_extends():
     assert average_precision(flags + [True], 3) > base
 
 
+def loop_average_precision(flags, total_gt):
+    """The per-detection loop the array form must reproduce bit for bit."""
+    if total_gt == 0:
+        return -1.0
+    kept = [bool(f) for f in flags if f is not None]
+    if not kept:
+        return 0.0
+    precisions, recalls = [], []
+    tp = fp = 0
+    for f in kept:
+        if f:
+            tp += 1
+        else:
+            fp += 1
+        precisions.append(tp / (tp + fp))
+        recalls.append(tp / total_gt)
+    for i in range(len(precisions) - 2, -1, -1):
+        if precisions[i] < precisions[i + 1]:
+            precisions[i] = precisions[i + 1]
+    ap = 0.0
+    j = 0
+    for i in range(101):
+        r = i / 100.0
+        while j < len(recalls) and recalls[j] < r:
+            j += 1
+        if j < len(recalls):
+            ap += precisions[j]
+    return ap / 101.0
+
+
+def test_ap_equals_per_detection_loop():
+    rng = np.random.default_rng(101)
+    for _ in range(3000):
+        n = int(rng.integers(0, 400))
+        hit = rng.random()
+        flags = [None if u < 0.1 else bool(u < 0.1 + hit) for u in rng.random(n)]
+        total_gt = int(rng.integers(1, 301))
+        assert average_precision(flags, total_gt) == loop_average_precision(flags, total_gt)
+
+
 # ---------------------------------------------------------------------------
 # ap_report
 

@@ -5,13 +5,14 @@ import pytest
 
 from densefocus import autodiff as ad
 from densefocus import ops
-from densefocus.density import DensityMap
+from densefocus.density import DensityMap, gt_density
 from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
 from densefocus.regions import (
     RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask,
 )
 from densefocus.rng import Rng
+from densefocus.synthgen import SceneSpec, generate_scene
 
 import oracles
 
@@ -105,24 +106,45 @@ def all_masks(h, w):
                        dtype=np.float64).reshape(h, w)
 
 
+def assert_refine_matches_reference(m):
+    got_mask, got_regions = refine_mask(m)
+    ref_mask, ref_rects = oracles.reference_region_refine(m)
+    assert np.array_equal(got_mask, ref_mask)
+    assert got_regions.rectangles == ref_rects
+
+
 def test_refine_matches_reference_all_3x3_masks():
     for m in all_masks(3, 3):
-        got_mask, got_regions = refine_mask(m)
-        ref_mask, ref_rects = oracles.reference_region_refine(m)
-        assert np.array_equal(got_mask, ref_mask)
-        assert got_regions.rectangles == ref_rects
+        assert_refine_matches_reference(m)
 
 
 def test_refine_matches_reference_random_8x8():
     rng = Rng(77)
     for density in (0.1, 0.3, 0.6, 0.9):
         for _ in range(12):
-            m = np.array([[1.0 if rng.random() < density else 0.0
-                           for _ in range(8)] for _ in range(8)])
-            got_mask, got_regions = refine_mask(m)
-            ref_mask, ref_rects = oracles.reference_region_refine(m)
-            assert np.array_equal(got_mask, ref_mask)
-            assert got_regions.rectangles == ref_rects
+            assert_refine_matches_reference(np.array(
+                [[1.0 if rng.random() < density else 0.0 for _ in range(8)] for _ in range(8)]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_refine_matches_reference_on_infer_scenes(seed):
+    # the benchmark's infer recipe: 112x112 scenes, quantile mask of gt_density
+    for i in range(3):
+        spec = SceneSpec(width=112, height=112, n_clusters=6, objects_per_cluster=(12, 12),
+                         object_size=(3, 9), cluster_spread=8.0, seed=seed * 1000 + i)
+        _, anns = generate_scene(spec, image_id=i + 1)
+        m = threshold_mask(gt_density(anns, 112, 112))
+        assert m.sum() > 1000
+        assert_refine_matches_reference(m)
+
+
+def test_refine_matches_reference_random_large_masks():
+    rng = np.random.default_rng(2024)
+    for fill in (0.01, 0.05, 0.2, 0.5, 0.9) * 4:
+        h, w = rng.integers(9, 129, size=2)
+        if h == w:
+            w -= 1
+        assert_refine_matches_reference((rng.random((h, w)) < fill).astype(np.float64))
 
 
 def test_refine_empty_and_single_point():
