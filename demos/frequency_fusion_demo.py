@@ -16,7 +16,7 @@ from densefocus.params import seeded_uniform
 h = w = 36
 x = seeded_uniform(4, "demo.fusion.x", (4, h, w), 2)
 density = np.abs(seeded_uniform(4, "demo.fusion.d", (1, h, w), 1))
-d_cal = calibrate_density(density, calib_params(4)).values
+d_cal = calibrate_density(density, calib_params(4))
 
 params = dffm_params(4, DEFAULT_KERNEL_SET, seed=6)
 path = params.paths[0]

@@ -20,7 +20,7 @@ from .autodiff import Var, backward, grad_check, vjp
 from .density import (BBoxAnnotation, CalibParams, DensityMap, DgbConfig,
                       calib_params, calibrate_density, density_loss,
                       dgb_channel_plan, dgb_forward, dgb_params, gt_density,
-                      object_sigma, total_loss)
+                      object_sigma)
 from .regions import RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask
 from .dafm import (DafmIntermediates, DafmParams, IfamParams, dafm_forward,
                    dafm_params, expected_agents, ifam_params, ifam_stage1,
@@ -56,7 +56,7 @@ __all__ = [
     "Var", "backward", "grad_check", "vjp",
     "BBoxAnnotation", "CalibParams", "DensityMap", "DgbConfig",
     "calib_params", "calibrate_density", "density_loss", "dgb_channel_plan",
-    "dgb_forward", "dgb_params", "gt_density", "object_sigma", "total_loss",
+    "dgb_forward", "dgb_params", "gt_density", "object_sigma",
     "RegionSet", "focus_bank", "kmeans2", "refine_mask", "threshold_mask",
     "DafmIntermediates", "DafmParams", "IfamParams", "dafm_forward",
     "dafm_params", "expected_agents", "ifam_params", "ifam_stage1",

@@ -46,35 +46,6 @@ class Var:
     def ndim(self):
         return self.value.ndim
 
-    def item(self) -> float:
-        return float(self.value)
-
-    def detach(self) -> np.ndarray:
-        return self.value.copy()
-
-    # convenience operators; the functional API below is the primary surface
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, grad={'set' if self.grad is not None else 'None'})"
 
@@ -179,13 +150,16 @@ def vjp(out: Var, cotangent, wrt) -> list[np.ndarray]:
     return [w.grad if w.grad is not None else np.zeros_like(w.value) for w in wrt]
 
 
-def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0,
-               max_coords: int = 512) -> float:
+_GRAD_CHECK_COORDS = 512
+
+
+def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0) -> float:
     """Compare tape gradients of a scalar-valued function against central
     finite differences.
 
     ``point`` is one array or a sequence of arrays.  When the total number
-    of coordinates exceeds ``max_coords``, a seeded subset is probed.
+    of coordinates exceeds ``_GRAD_CHECK_COORDS`` (512), a seeded subset of
+    that many is probed.
     Returns the maximum relative error max|analytic - numeric| /
     max(1e-8, |numeric|) over the probed coordinates.
     """
@@ -209,12 +183,12 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0,
 
     sizes = [a.size for a in arrays]
     total = sum(sizes)
-    if total <= max_coords:
+    if total <= _GRAD_CHECK_COORDS:
         coords = [(ai, flat) for ai, n in enumerate(sizes) for flat in range(n)]
     else:
         rng = Rng(seed)
         coords = []
-        for _ in range(max_coords):
+        for _ in range(_GRAD_CHECK_COORDS):
             flat = rng.randint(0, total - 1)
             ai = 0
             while flat >= sizes[ai]:
@@ -380,17 +354,12 @@ def _conv2d_vjp(g, out, needs, x, weight, bias=None, stride=1, pad=0):
 conv2d = defop(ops.conv2d, _conv2d_vjp)
 
 
-def _avg_pool_vjp(g, out, needs, x, k, stride=None):
-    stride = k if stride is None else stride
-    c, h, w = x.shape
-    out_h, out_w = g.shape[1], g.shape[2]
-    pad_h = (out_h - 1) * stride + k - h
-    pad_w = (out_w - 1) * stride + k - w
-    share = g / (k * k)
-    gp = np.zeros((c, h + pad_h, w + pad_w))
-    for ky in range(k):
-        for kx in range(k):
-            gp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride] += share
+def _avg_pool_vjp(g, out, needs, x, k):
+    _, h, w = x.shape
+    # each padded pixel lies in one window; + 0.0 turns a -0.0 share into
+    # +0.0, as accumulating onto zeros does
+    gp = (g / (k * k)).repeat(k, axis=1).repeat(k, axis=2) + 0.0
+    pad_h, pad_w = gp.shape[1] - h, gp.shape[2] - w
     dx = gp[:, :h, :w].copy()
     # fold replicated-edge contributions back onto the last row/column
     if pad_h:

@@ -64,20 +64,25 @@ def _num_value(key: str, value, integer: bool = True):
     return int(value) if integer else float(value)
 
 
-def _num_field(doc: dict, key: str, default, integer: bool = True):
-    return _num_value(key, doc.get(key, default), integer)
+def _real_value(key: str, value) -> float:
+    return _num_value(key, value, integer=False)
 
 
-def _range_field(doc: dict, key: str, default) -> tuple:
+def _range_value(key: str, value) -> tuple:
     """An integer [lo, hi] pair of a spec file."""
-    value = doc.get(key, default)
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise FormatError(f"field {key!r} must be a [lo, hi] pair, got {value!r}")
     return tuple(_num_value(key, v) for v in value)
 
 
+def _set_fields(doc: dict, parsers: dict) -> dict:
+    """The fields that ``doc`` sets, each parsed by ``parsers[key]``, as
+    keyword arguments; a field it omits keeps the library's default."""
+    return {key: parse(key, doc[key]) for key, parse in parsers.items() if key in doc}
+
+
 def _resolve_seed(args, doc: dict) -> int:
-    return args.seed if args.seed is not None else _num_field(doc, "seed", 0)
+    return args.seed if args.seed is not None else _num_value("seed", doc.get("seed", 0))
 
 
 def _verbose(args, msg: str) -> None:
@@ -94,11 +99,10 @@ def cmd_synth(args) -> int:
         if key not in doc:
             raise FormatError(f"scene spec {args.spec}: missing field {key!r}")
     spec = SceneSpec(
-        width=_num_field(doc, "width", None), height=_num_field(doc, "height", None),
-        n_clusters=_num_field(doc, "n_clusters", None),
-        objects_per_cluster=_range_field(doc, "objects_per_cluster", (4, 10)),
-        object_size=_range_field(doc, "object_size", (4, 16)),
-        cluster_spread=_num_field(doc, "cluster_spread", 8.0, integer=False),
+        **{key: _num_value(key, doc[key]) for key in ("width", "height", "n_clusters")},
+        **_set_fields(doc, {"objects_per_cluster": _range_value,
+                            "object_size": _range_value,
+                            "cluster_spread": _real_value}),
         seed=_resolve_seed(args, doc))
     os.makedirs(args.out_dir, exist_ok=True)
     image, annotations = generate_scene(spec, image_id=args.image_id)
@@ -136,13 +140,14 @@ def cmd_gt_density(args) -> int:
 
 def cmd_calibrate(args) -> int:
     doc = _load_json(args.params, "calibrate params")
-    params = calib_params(_resolve_seed(args, doc), c_mid=_num_field(doc, "c_mid", 4))
+    params = calib_params(_resolve_seed(args, doc),
+                          **_set_fields(doc, {"c_mid": _num_value}))
     d = _read_density(args.density)
     out = calibrate_density(d, params)
-    _ensure_finite(out.values, "calibrated density")
-    write_tensor(args.out, out.values)
+    _ensure_finite(out, "calibrated density")
+    write_tensor(args.out, out)
     if args.heatmap:
-        write_heatmap(args.heatmap, out.values)
+        write_heatmap(args.heatmap, out)
     return 0
 
 
@@ -167,15 +172,15 @@ def cmd_dafm(args) -> int:
     if x.ndim != 3:
         raise InvalidArgumentError(f"dafm: features must be 3-D, got shape {x.shape}")
     d = _read_density(args.density)
-    bank_kernel = _num_field(doc, "bank_kernel", 7)
-    n_agents = expected_agents(x.shape[1], x.shape[2], bank_kernel)
-    params = dafm_params(x.shape[0], _num_field(doc, "embed", x.shape[0]), n_agents,
-                         seed, dw_kernel=_num_field(doc, "dw_kernel", 3))
+    bank = _set_fields(doc, {"bank_kernel": _num_value})
+    n_agents = expected_agents(x.shape[1], x.shape[2], **bank)
+    embed = _num_value("embed", doc.get("embed", x.shape[0]))
+    params = dafm_params(x.shape[0], embed, n_agents, seed,
+                         **_set_fields(doc, {"dw_kernel": _num_value}))
     out, inter = dafm_forward(
-        x, d, params,
-        thresh_mode=doc.get("thresh_mode", "quantile"),
-        thresh_value=_num_field(doc, "thresh_value", 0.10, integer=False),
-        bank_kernel=bank_kernel, return_intermediates=True)
+        x, d, params, return_intermediates=True, **bank,
+        **_set_fields(doc, {"thresh_mode": lambda key, value: value,
+                            "thresh_value": _real_value}))
     _ensure_finite(out, "dafm output")
     write_tensor(args.out, out)
     if args.dump_dir:
@@ -206,8 +211,8 @@ def cmd_dffm(args) -> int:
     except ValueError:
         raise InvalidArgumentError(f"dffm: bad --kernels value {args.kernels!r}")
     params = dffm_params(p.shape[0], kernel_set, seed,
-                         ca_reduction=_num_field(doc, "ca_reduction", 4),
-                         sa_kernel=_num_field(doc, "sa_kernel", 7))
+                         **_set_fields(doc, {"ca_reduction": _num_value,
+                                             "sa_kernel": _num_value}))
     out = dffm_forward(p, d, params, kernel_set)
     _ensure_finite(out, "dffm output")
     write_tensor(args.out, out)

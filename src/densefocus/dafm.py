@@ -155,8 +155,7 @@ def expected_agents(h: int, w: int, bank_kernel: int = 7) -> int:
     if bank_kernel < 1:
         raise InvalidArgumentError(
             f"expected_agents: bank_kernel must be >= 1, got {bank_kernel}")
-    return pool_output_extent(h, bank_kernel, bank_kernel) * \
-        pool_output_extent(w, bank_kernel, bank_kernel)
+    return pool_output_extent(h, bank_kernel) * pool_output_extent(w, bank_kernel)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Density-map ground truth, losses, and the density branch.
+"""Density-map ground truth, the density loss, and the density branch.
 
 The ground-truth prior places one isotropic Gaussian per annotated box,
 sized by the box diagonal (sigma = half the diagonal), truncated at radius
@@ -152,41 +152,18 @@ def density_loss(pred, gt):
     return ad.mean_all(ad.multiply(diff, diff))
 
 
-def total_loss(l_reg, l_cls, l_dense, weights=(1.0, 1.0, 1.0)):
-    """Weighted sum of regression, classification, and density terms.
-    Defaults to the plain unweighted sum; each term must be finite and
-    non-negative."""
-    if len(weights) != 3:
-        raise InvalidArgumentError("total_loss: need exactly three weights")
-    for w in weights:
-        if not (math.isfinite(w) and w >= 0.0):
-            raise InvalidArgumentError(f"total_loss: bad weight {w}")
-    for name, term in zip(("regression", "classification", "density"),
-                          (l_reg, l_cls, l_dense)):
-        val = float(ad.value_of(term))
-        if not (math.isfinite(val) and val >= 0.0):
-            raise InvalidArgumentError(f"total_loss: {name} term is {val}")
-    terms = [ad.scale(t, w) for t, w in zip((l_reg, l_cls, l_dense), weights)]
-    return ad.add(ad.add(terms[0], terms[1]), terms[2])
-
-
 # ---------------------------------------------------------------------------
 # density generation branch (strided encoder, upsampling decoder, regressor)
 
 @dataclass
 class DgbConfig:
-    encoder_stages: int = 3
-    decoder_stages: int = 3
+    """``stages`` strided encoder stages, mirrored by as many decoder stages."""
+    stages: int = 3
     base_channels: int = 8
 
     def __post_init__(self):
-        if self.encoder_stages != self.decoder_stages:
-            raise InvalidArgumentError(
-                f"DgbConfig: encoder/decoder stage counts must match, got "
-                f"{self.encoder_stages} vs {self.decoder_stages}")
-        if self.encoder_stages < 1:
-            raise InvalidArgumentError(
-                f"DgbConfig: stages must be >= 1, got {self.encoder_stages}")
+        if self.stages < 1:
+            raise InvalidArgumentError(f"DgbConfig: stages must be >= 1, got {self.stages}")
         if self.base_channels < 1:
             raise InvalidArgumentError(
                 f"DgbConfig: base_channels must be >= 1, got {self.base_channels}")
@@ -196,12 +173,12 @@ def dgb_channel_plan(cfg: DgbConfig, in_channels: int):
     """(enc_in, enc_out) and (dec_in, dec_out) channel ladders."""
     enc = []
     cur = in_channels
-    for i in range(cfg.encoder_stages):
+    for i in range(cfg.stages):
         nxt = cfg.base_channels * (2 ** i)
         enc.append((cur, nxt))
         cur = nxt
     dec = []
-    for _ in range(cfg.decoder_stages):
+    for _ in range(cfg.stages):
         nxt = max(cfg.base_channels, cur // 2)
         dec.append((cur, nxt))
         cur = nxt
@@ -229,28 +206,27 @@ def dgb_forward(x, params, cfg: DgbConfig):
     Encoder: strided 3x3 convs (stride 2, pad 1) + ReLU.
     Decoder: bilinear x2 upsample + 3x3 conv + ReLU per stage.
     Regressor: 3x3 conv to one channel + ReLU.
-    H and W must be divisible by 2**encoder_stages.  Returns a DensityMap
-    for concrete inputs, or the [1,H,W] graph node when differentiating.
+    H and W must be divisible by 2**stages.  Returns the [1,H,W] map: an
+    array for concrete inputs, a graph node when differentiating.
     """
     xv = ad.value_of(x, "dgb input")
     if xv.ndim != 3:
         raise InvalidArgumentError(f"dgb_forward: input must be [C,H,W], got {xv.shape}")
     h, w = xv.shape[1], xv.shape[2]
-    factor = 2 ** cfg.encoder_stages
+    factor = 2 ** cfg.stages
     if h % factor or w % factor:
         raise InvalidArgumentError(
-            f"dgb_forward: {h}x{w} not divisible by 2^{cfg.encoder_stages}")
+            f"dgb_forward: {h}x{w} not divisible by 2^{cfg.stages}")
     cur = x
-    for i in range(cfg.encoder_stages):
+    for i in range(cfg.stages):
         cur = ad.relu(ad.conv2d(cur, params[f"enc{i}.w"], params[f"enc{i}.b"],
                                 stride=2, pad=1))
-    for i in range(cfg.decoder_stages):
+    for i in range(cfg.stages):
         shape = ad.shape_of(cur)
         cur = ad.bilinear_resize(cur, shape[1] * 2, shape[2] * 2)
         cur = ad.relu(ad.conv2d(cur, params[f"dec{i}.w"], params[f"dec{i}.b"],
                                 stride=1, pad=1))
-    out = ad.relu(ad.conv2d(cur, params["reg.w"], params["reg.b"], stride=1, pad=1))
-    return out if isinstance(out, ad.Var) else DensityMap(out)
+    return ad.relu(ad.conv2d(cur, params["reg.w"], params["reg.b"], stride=1, pad=1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +252,8 @@ def calib_params(seed: int, c_mid: int = 4) -> CalibParams:
 
 
 def calibrate_density(d, params: CalibParams):
-    """Map a raw density prior to a calibrated (0,1) map of the same size.
-    Returns a DensityMap for concrete inputs, a graph node otherwise."""
+    """Map a raw density prior to a calibrated (0,1) [1,H,W] map of the same
+    size: an array for concrete inputs, a graph node otherwise."""
     dv = d if isinstance(d, ad.Var) else density_values(d)
     hidden = ad.relu(ad.conv2d(dv, params.w1, params.b1, stride=1, pad=1))
-    out = ad.sigmoid(ad.conv2d(hidden, params.w2, params.b2, stride=1, pad=0))
-    return out if isinstance(out, ad.Var) else DensityMap(out)
+    return ad.sigmoid(ad.conv2d(hidden, params.w2, params.b2, stride=1, pad=0))

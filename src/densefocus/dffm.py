@@ -166,12 +166,10 @@ def dffm_forward(p, density, params: DffmParams,
 
     d_raw = density_values(density)
     d_cal = calibrate_density(d_raw, params.calib)
-    if not isinstance(d_cal, ad.Var):
-        d_cal = density_values(d_cal)
 
     total = None
     for k, path in zip(kernel_set, params.paths):
-        pooled = ad.avg_pool(p, k, k)
+        pooled = ad.avg_pool(p, k)
         _, ph, pw = ad.shape_of(pooled)
         d_k = bilinear_resize(d_raw, ph, pw)
         dc_k = ad.bilinear_resize(d_cal, ph, pw)

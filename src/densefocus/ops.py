@@ -118,32 +118,27 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     return (t[0] + t[1]) + (t[2] + t[3])
 
 
-def pool_output_extent(n_in: int, k: int, stride: int) -> int:
-    return (max(n_in - k, 0) + stride - 1) // stride + 1
+def pool_output_extent(n_in: int, k: int) -> int:
+    return (n_in + k - 1) // k
 
 
-def avg_pool(x, k: int, stride: int | None = None) -> np.ndarray:
-    """Average pooling with edge-replication padding on the bottom/right so
-    every window is full; divisor is always k*k.  Window contributions are
-    accumulated kernel-position row-major for oracle bit-equality."""
+def avg_pool(x, k: int) -> np.ndarray:
+    """Non-overlapping k x k average pooling (stride k) with edge-replication
+    padding on the bottom/right so every window is full; divisor is always
+    k*k.  Window contributions are accumulated kernel-position row-major for
+    oracle bit-equality."""
     x = require_chw(as_tensor(x, "pool input"), "pool input")
     if k < 1:
         raise InvalidArgumentError(f"avg_pool: kernel must be >= 1, got {k}")
-    if stride is None:
-        stride = k
-    if stride < 1:
-        raise InvalidArgumentError(f"avg_pool: stride must be >= 1, got {stride}")
     c, h, w = x.shape
-    out_h = pool_output_extent(h, k, stride)
-    out_w = pool_output_extent(w, k, stride)
-    pad_h = (out_h - 1) * stride + k - h
-    pad_w = (out_w - 1) * stride + k - w
-    xp = np.pad(x, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
+    out_h = pool_output_extent(h, k)
+    out_w = pool_output_extent(w, k)
+    xp = np.pad(x, ((0, 0), (0, out_h * k - h), (0, out_w * k - w)), mode="edge")
 
     acc = np.zeros((c, out_h, out_w))
     for ky in range(k):
         for kx in range(k):
-            acc += xp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride]
+            acc += xp[:, ky::k, kx::k]
     _tally(c * out_h * out_w * k * k)
     return acc / (k * k)
 

@@ -169,5 +169,5 @@ def focus_bank(x, mask, weight, bias, kernel: int = 7):
     if kernel < 1:
         raise InvalidArgumentError(f"focus_bank: kernel must be >= 1, got {kernel}")
     masked = ad.multiply(x, mv)
-    pooled = ad.avg_pool(masked, kernel, kernel)
+    pooled = ad.avg_pool(masked, kernel)
     return ad.conv2d(pooled, weight, bias, stride=1, pad=0)

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from .density import BBoxAnnotation
-from .errors import FormatError, InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError, NumericError
 from .evalkit import Detection
 from .ops import as_tensor
 
@@ -74,7 +74,7 @@ def read_tensor(path) -> np.ndarray:
 
 def write_heatmap(path, density_map) -> None:
     """Min-max normalize a [1,H,W] (or [H,W]) map to 8-bit and write binary
-    PGM (P5).  Constant maps emit mid-gray 128."""
+    PGM (P5).  Constant maps emit mid-gray 128; non-finite maps raise NumericError."""
     arr = as_tensor(density_map, "heatmap")
     if arr.ndim == 3:
         if arr.shape[0] != 1:
@@ -82,6 +82,8 @@ def write_heatmap(path, density_map) -> None:
         arr = arr[0]
     if arr.ndim != 2:
         raise InvalidArgumentError(f"write_heatmap: bad rank {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NumericError("write_heatmap: non-finite values")
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
         scaled = np.rint((arr - lo) / (hi - lo) * 255.0)

@@ -168,9 +168,9 @@ def test_grad_avg_pool():
         assert ad.grad_check(lambda x: wsum(ad.avg_pool(x, 2), w), a, eps=EPS) < TOL
         # ragged extent: replicate-edge padding path in the vjp
         b = u(seed, "g.pool.b", (2, 6, 6))
-        oh = ops.pool_output_extent(6, 3, 2)
+        oh = ops.pool_output_extent(6, 4)
         wr = u(seed, "g.pool.wr", (2, oh, oh))
-        assert ad.grad_check(lambda x: wsum(ad.avg_pool(x, 3, 2), wr), b, eps=EPS) < TOL
+        assert ad.grad_check(lambda x: wsum(ad.avg_pool(x, 4), wr), b, eps=EPS) < TOL
 
 
 def test_grad_depthwise_separable():
@@ -296,22 +296,6 @@ def test_grad_check_input_validation():
         ad.grad_check(lambda x: x.value.sum(), np.ones((2, 2)))
     with pytest.raises(InvalidArgumentError):
         ad.grad_check(lambda x: ad.scale(x, 2.0), np.ones((2, 2)))
-
-
-def test_operator_sugar_matches_functional_api():
-    a = ad.Var(u(8, "g.sugar.a", (2, 3)))
-    b = ad.Var(u(8, "g.sugar.b", (2, 3)))
-    m = ad.Var(u(8, "g.sugar.m", (3, 2)))
-    assert np.array_equal((a + b).value, ad.add(a, b).value)
-    assert np.array_equal((a - b).value, ad.subtract(a, b).value)
-    assert np.array_equal((a * b).value, ad.multiply(a, b).value)
-    assert np.array_equal((-a).value, ad.scale(a, -1.0).value)
-    assert np.array_equal((a @ m).value, ad.matmul(a, m).value)
-    assert np.array_equal((2.0 * a).value, ad.multiply(2.0, a).value)
-    d = a.detach()
-    assert np.array_equal(d, a.value) and d is not a.value
-    s = ad.sum_all(a)
-    assert s.item() == pytest.approx(float(a.value.sum()))
 
 
 def test_plain_arrays_short_circuit_to_numpy():

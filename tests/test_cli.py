@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,9 @@ import pytest
 import densefocus
 from densefocus import cli
 from densefocus.cli import cli_dispatch
-from densefocus.dafm import expected_agents
+from densefocus.dafm import dafm_forward, dafm_params, expected_agents
+from densefocus.density import calib_params
+from densefocus.dffm import dffm_params
 from densefocus.errors import (DenseFocusError, FormatError, InvalidArgumentError,
                                NumericError, UnsupportedOperationError)
 from densefocus.evalkit import ap_report
@@ -254,6 +257,48 @@ def test_expected_agents_rejects_non_positive_kernel():
     for bad in (0, -1):
         with pytest.raises(InvalidArgumentError, match="bank_kernel"):
             expected_agents(16, 16, bad)
+
+
+# each command's optional spec/params fields, under the library callable whose
+# keyword default applies when a file omits them
+OPTIONAL_FIELDS = {
+    "synth": {SceneSpec: ("objects_per_cluster", "object_size", "cluster_spread")},
+    "calibrate": {calib_params: ("c_mid",)},
+    "dafm": {dafm_params: ("dw_kernel",),
+             dafm_forward: ("bank_kernel", "thresh_mode", "thresh_value")},
+    "dffm": {dffm_params: ("ca_reduction", "sa_kernel")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONAL_FIELDS))
+def test_omitted_fields_take_library_defaults(tmp_path, command):
+    """A spec or params file that omits every optional field writes the same
+    bytes as one that spells out the library's defaults."""
+    feats, density = tmp_path / "x.drmt", tmp_path / "d.drmt"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
+    base = ({"width": 32, "height": 32, "n_clusters": 2, "seed": 3} if command == "synth"
+            else {"seed": 2})
+    defaults = {name: inspect.signature(fn).parameters[name].default
+                for fn, names in OPTIONAL_FIELDS[command].items() for name in names}
+
+    def outputs(name, doc):
+        params, out = tmp_path / f"{name}.json", tmp_path / name
+        params.write_text(json.dumps(doc))
+        if command == "synth":
+            args = ["--spec", str(params), "--out-dir", str(out)]
+        else:
+            os.makedirs(out)
+            args = ["--density", str(density), "--params", str(params),
+                    "--out", str(out / "out.drmt")]
+            args += {"calibrate": ["--heatmap", str(out / "out.pgm")],
+                     "dafm": ["--features", str(feats), "--dump-dir", str(out)],
+                     "dffm": ["--features", str(feats)]}[command]
+        assert run(command, *args) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    omitted = outputs("omitted", base)
+    assert omitted and omitted == outputs("spelled", {**base, **defaults})
 
 
 @pytest.mark.parametrize("module", ["ops", "density", "dafm", "dffm"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from densefocus.density import BBoxAnnotation
-from densefocus.errors import FormatError, InvalidArgumentError
+from densefocus.errors import FormatError, InvalidArgumentError, NumericError
 from densefocus.evalkit import Detection
 from densefocus.params import seeded_uniform
 from densefocus.tensorfile import (
@@ -92,6 +92,17 @@ def test_heatmap_constant_is_midgray(tmp_path):
     path = tmp_path / "flat.pgm"
     write_heatmap(path, np.full((1, 2, 2), 0.7))
     assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([128] * 4)
+
+
+@pytest.mark.parametrize("bad", ["all-nan", "one-nan", "one-inf", "one-neg-inf"])
+def test_heatmap_non_finite_raises(tmp_path, bad):
+    d = np.full((1, 3, 3), np.nan) if bad == "all-nan" else np.ones((1, 3, 3))
+    d[0, 1, 2] = {"all-nan": np.nan, "one-nan": np.nan, "one-inf": np.inf,
+                  "one-neg-inf": -np.inf}[bad]
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(NumericError, match="non-finite"):
+        write_heatmap(path, d)
+    assert not path.exists()
 
 
 def test_heatmap_rank_validation(tmp_path):

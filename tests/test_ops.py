@@ -56,31 +56,29 @@ def test_conv2d_shape_validation():
 # ---------------------------------------------------------------------------
 # pooling
 
-@pytest.mark.parametrize("shape,k,stride", [
-    ((2, 6, 6), 2, None), ((2, 7, 5), 3, 2), ((1, 5, 5), 7, None),
-    ((3, 8, 8), 3, 3), ((1, 4, 9), 4, 1),
-])
-def test_avg_pool_bit_exact_vs_naive(shape, k, stride):
-    x = u(6, f"p.{shape}{k}{stride}", shape, 4)
-    got = ops.avg_pool(x, k, stride)
-    ref = oracles.naive_avg_pool(x, k, stride)
+POOL_CASES = [((2, 6, 6), 2), ((2, 7, 5), 3), ((1, 5, 5), 7), ((3, 8, 8), 3),
+              ((1, 4, 9), 4)]
+
+
+@pytest.mark.parametrize("shape,k", POOL_CASES)
+def test_avg_pool_bit_exact_vs_naive(shape, k):
+    x = u(6, f"p.{shape}{k}", shape, 4)
+    got = ops.avg_pool(x, k)
+    ref = oracles.naive_avg_pool(x, k)
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
 
 
 def test_pool_output_extent():
-    # ceil division of the stride walk, with the edge window replicated
-    assert ops.pool_output_extent(12, 3, 3) == 4
-    assert ops.pool_output_extent(13, 3, 3) == 5
-    assert ops.pool_output_extent(5, 7, 7) == 1
-    assert ops.pool_output_extent(7, 3, 2) == 3
+    # ceil division, with the edge window replicated
+    assert ops.pool_output_extent(12, 3) == 4
+    assert ops.pool_output_extent(13, 3) == 5
+    assert ops.pool_output_extent(5, 7) == 1
 
 
 def test_avg_pool_validation():
     with pytest.raises(InvalidArgumentError):
         ops.avg_pool(np.zeros((1, 4, 4)), 0)
-    with pytest.raises(InvalidArgumentError):
-        ops.avg_pool(np.zeros((1, 4, 4)), 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +273,37 @@ def test_sigmoid_kernels_do_not_write_into_arguments():
     ops.sigmoid_gates(a, b, bias)
     for v, kept in zip((x, a, b, bias), before):
         assert_same_bits(v, kept)
+
+
+def window_loop_avg_pool_vjp(g, x_shape, k):
+    """The window-by-window accumulation onto zeros that the avg_pool vjp
+    replaced, kept as its bit oracle."""
+    _, h, w = x_shape
+    out_h, out_w = g.shape[1:]
+    share = g / (k * k)
+    gp = np.zeros((g.shape[0], out_h * k, out_w * k))
+    for ky in range(k):
+        for kx in range(k):
+            gp[:, ky:ky + k * out_h:k, kx:kx + k * out_w:k] += share
+    dx = gp[:, :h, :w].copy()
+    if out_h * k > h:
+        dx[:, h - 1, :] += gp[:, h:, :w].sum(axis=1)
+    if out_w * k > w:
+        dx[:, :, w - 1] += gp[:, :h, w:].sum(axis=2)
+    if out_h * k > h and out_w * k > w:
+        dx[:, h - 1, w - 1] += gp[:, h:, w:].sum(axis=(1, 2))
+    return dx
+
+
+@pytest.mark.parametrize("shape,k", POOL_CASES + [((2, 6, 6), 4)])
+def test_avg_pool_vjp_bit_exact_vs_window_loop(shape, k):
+    x = ad.Var(u(45, f"pv.x{shape}{k}", shape, 4))
+    y = ad.avg_pool(x, k)
+    cotangents = [u(46, f"pv.g{shape}{k}", y.shape, 1)]
+    # every special value in every output position, edge windows included
+    cotangents += [np.resize(np.roll(SPECIALS, -i), y.shape) for i in range(len(SPECIALS))]
+    for g in cotangents:
+        assert_same_bits(ad.vjp(y, g, [x])[0], window_loop_avg_pool_vjp(g, shape, k))
 
 
 def test_sigmoid_gates_macs_and_validation():

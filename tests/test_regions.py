@@ -219,7 +219,7 @@ def test_focus_bank_identity_conv_is_avg_pool():
     x = seeded_uniform(2, "fb.id.x", (4, 14, 14), 1)
     eye = np.eye(4).reshape(4, 4, 1, 1)
     out = focus_bank(x, np.ones((1, 14, 14)), eye, None, kernel=7)
-    assert np.allclose(out, ops.avg_pool(x, 7, 7), rtol=1e-14, atol=0.0)
+    assert np.allclose(out, ops.avg_pool(x, 7), rtol=1e-14, atol=0.0)
 
 
 def test_focus_bank_aligned_rectangle_hits_one_cell():
