@@ -29,12 +29,9 @@ def seeded_uniform(seed: int, name: str, shape: tuple, fan_in: int) -> np.ndarra
     if fan_in < 1:
         raise InvalidArgumentError(f"seeded_uniform: fan_in must be >= 1, got {fan_in}")
     bound = 1.0 / math.sqrt(fan_in)
-    rng = Rng(seed).derive(name)
-    arr = np.empty(shape)
-    flat = arr.reshape(-1)
-    for i in range(flat.size):
-        flat[i] = rng.uniform(-bound, bound)
-    return arr
+    draws = Rng(seed).derive(name).randoms(math.prod(shape))
+    # lo + (hi - lo) * r, as Rng.uniform(-bound, bound) computes it
+    return (-bound + (bound - -bound) * draws).reshape(shape)
 
 
 def tree_leaves(tree) -> list:

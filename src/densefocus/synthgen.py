@@ -89,9 +89,8 @@ def generate_scene(spec: SceneSpec, image_id: int = 1):
                 image_id=image_id, category_id=1,
                 cx=left + bw / 2.0, cy=top + bh / 2.0,
                 width=float(bw), height=float(bh)))
-    for i in range(h):
-        for j in range(w):
-            image[0, i, j] += rng.normal(0.0, NOISE_SIGMA)
+    for i in range(h):     # row by row: a whole-image draw holds a list of 2HW floats
+        image[0, i] += rng.normals(w, 0.0, NOISE_SIGMA)
     return image, annotations
 
 

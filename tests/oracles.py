@@ -425,3 +425,42 @@ def hand_density_single(cx, cy, bw, bh, height, width):
             out[0, yy, xx] = coef * math.exp(-(u * u + v * v)
                                              / (2.0 * sigma * sigma))
     return out, 0
+
+
+# ---------------------------------------------------------------------------
+# synthetic scenes, one scalar Rng call per draw (the library's stream
+# definition, not its bulk draws)
+
+def scalar_scene(spec, image_id=1):
+    """generate_scene with the pixel noise drawn by one Rng.normal per pixel,
+    in row-major order after every cluster draw."""
+    from densefocus.density import BBoxAnnotation
+    from densefocus.rng import Rng
+    from densefocus.synthgen import NOISE_SIGMA
+
+    rng = Rng(spec.seed)
+    w, h = spec.width, spec.height
+    size_lo, size_hi = spec.object_size
+    margin = min(spec.cluster_spread + size_hi, (min(w, h) - 1) / 2.0)
+    image = np.zeros((1, h, w))
+    annotations = []
+    for _ in range(spec.n_clusters):
+        ccx = rng.uniform(margin, w - 1 - margin)
+        ccy = rng.uniform(margin, h - 1 - margin)
+        count = rng.randint(spec.objects_per_cluster[0], spec.objects_per_cluster[1])
+        for _ in range(count):
+            ox = ccx + rng.normal(0.0, spec.cluster_spread)
+            oy = ccy + rng.normal(0.0, spec.cluster_spread)
+            bw = rng.randint(size_lo, size_hi)
+            bh = rng.randint(size_lo, size_hi)
+            left = min(max(int(round(ox - bw / 2.0)), 0), w - bw)
+            top = min(max(int(round(oy - bh / 2.0)), 0), h - bh)
+            image[0, top:top + bh, left:left + bw] = 1.0
+            annotations.append(BBoxAnnotation(
+                image_id=image_id, category_id=1,
+                cx=left + bw / 2.0, cy=top + bh / 2.0,
+                width=float(bw), height=float(bh)))
+    for i in range(h):
+        for j in range(w):
+            image[0, i, j] += rng.normal(0.0, NOISE_SIGMA)
+    return image, annotations

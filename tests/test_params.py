@@ -1,9 +1,12 @@
 """Seeded parameter initialization and parameter trees."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from densefocus.dafm import dafm_params
+from densefocus.dafm import dafm_params, expected_agents
 from densefocus.density import DgbConfig, calib_params, dgb_params
 from densefocus.dffm import dffm_params
 from densefocus.errors import InvalidArgumentError
@@ -34,6 +37,92 @@ def test_seeded_uniform_name_and_seed_sensitivity():
 def test_seeded_uniform_bad_fan_in():
     with pytest.raises(InvalidArgumentError):
         seeded_uniform(0, "w", (2,), 0)
+
+
+def scalar_seeded_uniform(seed, name, shape, fan_in):
+    """seeded_uniform as one Rng.uniform call per element, in C order."""
+    bound = 1.0 / math.sqrt(fan_in)
+    rng = Rng(seed).derive(name)
+    return np.array([rng.uniform(-bound, bound) for _ in range(math.prod(shape))]
+                    ).reshape(shape)
+
+
+# (name, shape, fan_in) of every tensor src/ and bench/ draw at bench sizes:
+# the infer features and the trees of dgb_params(DgbConfig(), 1, seed),
+# calib_params(seed), dafm_params(16, 16, expected_agents(112, 112), seed)
+# and dffm_params(16, (3, 6, 9), seed), then the gradcheck points
+BENCH_DRAWS = [
+    ("bench.infer.features", (16, 112, 112), 16),
+    # density branch: dgb_params(DgbConfig(), 1, seed)
+    ("enc0.w", (8, 1, 3, 3), 9), ("enc0.b", (8,), 9),
+    ("enc1.w", (16, 8, 3, 3), 72), ("enc1.b", (16,), 72),
+    ("enc2.w", (32, 16, 3, 3), 144), ("enc2.b", (32,), 144),
+    ("dec0.w", (16, 32, 3, 3), 288), ("dec0.b", (16,), 288),
+    ("dec1.w", (8, 16, 3, 3), 144), ("dec1.b", (8,), 144),
+    ("dec2.w", (8, 8, 3, 3), 72), ("dec2.b", (8,), 72),
+    ("reg.w", (1, 8, 3, 3), 72), ("reg.b", (1,), 72),
+    # calib_params(seed)
+    ("calib.w1", (4, 1, 3, 3), 9), ("calib.b1", (4,), 9),
+    ("calib.w2", (1, 4, 1, 1), 4), ("calib.b2", (1,), 4),
+    # dafm_params(16, 16, expected_agents(112, 112), seed)
+    ("ifam.w_query", (16, 16), 16), ("ifam.w_key", (16, 16), 16),
+    ("ifam.w_value", (16, 16), 16),
+    ("ifam.bias_fwd", (256,), 16), ("ifam.bias_bwd", (256,), 16),
+    ("dafm.bank_w", (16, 16, 1, 1), 16), ("dafm.bank_b", (16,), 16),
+    ("dafm.dw_w", (16, 1, 3, 3), 9),
+    ("dafm.pw_w", (16, 16, 1, 1), 16), ("dafm.pw_b", (16,), 16),
+    # dffm_params(16, (3, 6, 9), seed)
+    *[(f"edh{k}.{name}", shape, fan) for k in range(3) for name, shape, fan in (
+        ("mask_w", (1, 16, 1, 1), 16), ("mask_b", (1,), 16),
+        ("ca_reduce", (4, 16), 16), ("ca_expand", (16, 4), 4),
+        ("sa_w", (1, 2, 7, 7), 98),
+        ("mix_high", (16, 16), 16), ("mix_low", (16, 16), 16))],
+    ("dffm.conv_w", (16, 16, 3, 3), 144), ("dffm.conv_b", (16,), 144),
+    ("dffm.out_w", (16, 16, 1, 1), 16), ("dffm.out_b", (16,), 16),
+    # densefocus gradcheck points
+    ("check.ops.x", (2, 6, 6), 4), ("check.ops.w", (3, 2, 3, 3), 18),
+    ("check.density.pred", (1, 8, 8), 4), ("check.density.gt", (1, 8, 8), 4),
+    ("check.dafm.x", (3, 8, 8), 9), ("check.dafm.density", (1, 8, 8), 1),
+    ("check.dafm.reduce", (3, 8, 8), 1),
+    ("check.dffm.x", (4, 12, 12), 9), ("check.dffm.density", (1, 12, 12), 1),
+    ("check.dffm.reduce", (4, 12, 12), 1),
+    # degenerate shapes
+    ("w", (), 1), ("w", (0,), 1),
+]
+BENCH_SEEDS = (1, 7)     # the infer and train_dgb weight seeds
+
+
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+def test_seeded_uniform_equals_the_scalar_uniform_loop(seed):
+    for name, shape, fan_in in BENCH_DRAWS:
+        got = seeded_uniform(seed, name, shape, fan_in)
+        want = scalar_seeded_uniform(seed, name, shape, fan_in)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_seeded_uniform_bench_draws_keep_their_bits():
+    # integer ops and correctly rounded IEEE ops only, so the digest holds
+    # on any platform
+    digest = hashlib.sha256()
+    for seed in BENCH_SEEDS:
+        for name, shape, fan_in in BENCH_DRAWS:
+            digest.update(seeded_uniform(seed, name, shape, fan_in).astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "cc90a3d57c1b224d8a50bf8b24207e37fd30bc9ba8c4d48ccf8422d23999ea0d")
+
+
+def test_bench_draws_cover_the_bench_parameter_trees():
+    drawn = {seeded_uniform(seed, *draw).tobytes()
+             for seed in BENCH_SEEDS for draw in BENCH_DRAWS}
+    trees = [dgb_params(DgbConfig(), 1, seed=7), calib_params(1),
+             dafm_params(16, 16, expected_agents(112, 112), seed=1),
+             dffm_params(16, (3, 6, 9), seed=1)]
+    for tree in trees:
+        for leaf in tree_leaves(tree):
+            if leaf.shape == (16, 16) and np.array_equal(leaf, np.eye(16)):
+                continue        # ifam.w_out is the identity when embed == C
+            assert leaf.tobytes() in drawn
 
 
 PARAM_TREES = {

@@ -3,6 +3,8 @@ and the distribution helpers."""
 
 import math
 
+import numpy as np
+
 from densefocus.rng import Rng, fnv1a64
 
 MASK = (1 << 64) - 1
@@ -123,3 +125,53 @@ def test_derive_does_not_advance_parent():
     before = Rng(7).next_u64()
     rng.derive("x")
     assert rng.next_u64() == before
+
+
+# Seeds 2**63 and 2**64 - 1 put the state past 2**64 within a few steps, so
+# the bulk draws must wrap exactly as the scalar ones do.
+BULK_SEEDS = (0, 1, 2**63, 2**64 - 1)
+BULK_SIZES = (0, 1, 2, 7, 1000)
+
+
+def test_randoms_equal_scalar_draws_and_leave_the_stream_in_step():
+    for seed in BULK_SEEDS:
+        for n in BULK_SIZES:
+            bulk, scalar = Rng(seed), Rng(seed)
+            got = bulk.randoms(n)
+            want = np.array([scalar.random() for _ in range(n)])
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+            assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_normals_equal_scalar_draws_and_leave_the_stream_in_step():
+    for seed in BULK_SEEDS:
+        for n in BULK_SIZES:
+            for mu, sigma in ((0.0, 1.0), (1.5, 0.05)):
+                bulk, scalar = Rng(seed), Rng(seed)
+                got = bulk.normals(n, mu, sigma)
+                want = np.array([scalar.normal(mu, sigma) for _ in range(n)])
+                assert got.dtype == np.float64 and got.shape == (n,)
+                assert got.tobytes() == want.tobytes()
+                assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_bulk_draws_reject_a_negative_count():
+    rng = Rng(3)
+    for draw in (rng.randoms, rng.normals):
+        try:
+            draw(-1)
+            assert False, "expected ValueError"
+        except ValueError:
+            pass
+    assert rng.next_u64() == Rng(3).next_u64()
+
+
+def test_normals_guard_a_zero_first_uniform():
+    # the first draw of a state one step short of 0 mod 2**64 mixes 0 to 0,
+    # so u1 is exactly 0.0 and both paths must take the guard
+    rng = Rng(-0x9E3779B97F4A7C15)
+    assert Rng(-0x9E3779B97F4A7C15).random() == 0.0
+    got = rng.normals(1, 0.0, 1.0)[0]
+    assert math.isfinite(got)
+    assert got == Rng(-0x9E3779B97F4A7C15).normal(0.0, 1.0)

@@ -1,6 +1,8 @@
 """Synthetic scene generator: determinism, geometry, noise model, and the
 detection perturbation stream."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,41 @@ def test_image_decomposes_into_rectangles_plus_noise():
     residual = img - rects
     assert np.abs(residual).max() <= 6.0 * NOISE_SIGMA
     assert rects.any()
+
+
+# the scene recipes of the bench workloads: infer (112², 6 clusters),
+# train_dgb (64², 2), eval_dense (192², 10, then ten sparse 64² scenes)
+BENCH_SCENES = [
+    SceneSpec(112, 112, 6, (12, 12), (3, 9), 8.0, seed=1000),
+    SceneSpec(64, 64, 2, (3, 6), (3, 8), 7.0, seed=2003),
+    SceneSpec(192, 192, 10, (20, 20), (2, 20), 10.0, seed=1000),
+] + [SceneSpec(64, 64, 2, (k, k), (2, 24), 6.0, seed=1001 + i)
+     for i, k in enumerate((3, 6, 9, 12, 15, 18, 15, 12, 9, 6))]
+
+
+@pytest.mark.parametrize("spec", BENCH_SCENES + [
+    SceneSpec(40, 24, 2, (2, 5), (2, 6), 4.0, seed=5),      # not square
+    SceneSpec(33, 17, 0, (0, 0), (1, 3), 2.0, seed=2**64 - 1),   # no cluster
+], ids=lambda spec: f"{spec.width}x{spec.height}x{spec.n_clusters}-seed{spec.seed}")
+def test_scene_equals_the_scalar_draw_reference(spec):
+    img, anns = generate_scene(spec, image_id=3)
+    ref_img, ref_anns = oracles.scalar_scene(spec, image_id=3)
+    assert img.tobytes() == ref_img.tobytes()
+    assert anns == ref_anns
+
+
+def test_scene_peak_memory_stays_near_the_image():
+    # the noise is drawn row by row; a whole-image draw would hold a list
+    # of 2*H*W Python floats, several times the image itself
+    spec = SceneSpec(192, 192, 10, (20, 20), (2, 20), 10.0, seed=1000)
+    generate_scene(spec)    # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        img, _ = generate_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * img.nbytes
 
 
 def replay_cluster_centers(spec):
