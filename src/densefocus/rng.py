@@ -5,8 +5,8 @@ equal seeds reproduce equal bits on the same numpy build and CPU features;
 elsewhere the SIMD-dispatched ``np.exp``/``np.log`` may round differently.
 Streams are forked by name (``derive``): consumers never share state.
 
-``randoms(n)`` and ``normals(n, mu, sigma)`` give the next ``n`` draws of
-``random()`` and ``normal(mu, sigma)`` as one float64 array, with the same
+``randoms(n)`` and ``normals(n)`` give the next ``n`` draws of ``random()``
+and of ``normal()`` (standard normals) as one float64 array, with the same
 bits and leaving the stream where ``n`` scalar calls would.  The SplitMix64
 steps run on numpy ``uint64`` arrays (wrapping adds and multiplies, shifts);
 the Box-Muller ``log`` and ``cos`` stay the scalar ``math`` calls, one per
@@ -91,11 +91,11 @@ class Rng:
         """One Box-Muller draw per call (cosine branch only, no caching)."""
         return mu + sigma * _box_muller(self.random(), self.random())
 
-    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """The next ``n`` draws of :meth:`normal` as one float64 array."""
+    def normals(self, n: int) -> np.ndarray:
+        """The next ``n`` draws of :meth:`normal` (standard normals) as one
+        float64 array."""
         u = self.randoms(2 * n).tolist()
-        z = np.fromiter(map(_box_muller, u[0::2], u[1::2]), np.float64, n)
-        return mu + sigma * z
+        return np.fromiter(map(_box_muller, u[0::2], u[1::2]), np.float64, n)
 
     def derive(self, name: str) -> "Rng":
         """Fork an independent child stream keyed by ``name``.

@@ -90,7 +90,7 @@ def generate_scene(spec: SceneSpec, image_id: int = 1):
                 cx=left + bw / 2.0, cy=top + bh / 2.0,
                 width=float(bw), height=float(bh)))
     for i in range(h):     # row by row: a whole-image draw holds a list of 2HW floats
-        image[0, i] += rng.normals(w, 0.0, NOISE_SIGMA)
+        image[0, i] += NOISE_SIGMA * rng.normals(w)
     return image, annotations
 
 
