@@ -337,7 +337,7 @@ def _conv2d_vjp(g, out, needs, x, weight, bias=None, stride=1, pad=0):
     g2 = g.reshape(c_out, -1)
     w_taps = weight.transpose(2, 3, 1, 0)                   # [kh, kw, c_in, c_out]
     gp = np.zeros((c_in, h + 2 * pad, w + 2 * pad)) if needs[0] else None
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if needs[1] else None
+    xp = ops.zero_pad(x, pad) if needs[1] else None
     dw = np.empty(weight.shape)
     for ky in range(kh):
         for kx in range(kw):
@@ -379,7 +379,7 @@ def _depthwise_vjp(g, out, needs, x, weight):
     k = weight.shape[2]
     pad = (k - 1) // 2
     gp = np.zeros((c, h + 2 * pad, w + 2 * pad)) if needs[0] else None
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if needs[1] else None
+    xp = ops.zero_pad(x, pad) if needs[1] else None
     dw = np.empty_like(weight)
     for ky in range(k):
         for kx in range(k):
@@ -398,21 +398,12 @@ def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None):
     return conv2d(depthwise_conv(x, dw_weight), pw_weight, pw_bias, 1, 0)
 
 
-@functools.lru_cache(maxsize=32)
-def _bilinear_scatter(h, w, out_h, out_w):
-    """Flat input index and weight of each resize tap, tap-major, then row-major:
-    np.bincount sums in the order (and bits) of one np.add.at per tap."""
-    taps = ops.bilinear_taps(h, w, out_h, out_w)
-    return (np.concatenate([(yi[:, None] * w + xi[None, :]).ravel() for yi, xi, _ in taps]),
-            np.stack([wt for _, _, wt in taps]))
-
-
 def _bilinear_vjp(g, out, needs, x, out_h, out_w):
     if out.shape == x.shape:
         return (g,)
-    index, weights = _bilinear_scatter(*x.shape[1:], out_h, out_w)
+    index, weight = ops.bilinear_table(*x.shape[1:], out_h, out_w)
     size = x.shape[1] * x.shape[2]
-    return (np.stack([np.bincount(index, weights=(gc * weights).ravel(), minlength=size)
+    return (np.stack([np.bincount(index.ravel(), weights=(gc * weight).ravel(), minlength=size)
                       for gc in g]).reshape(x.shape),)
 
 

@@ -78,6 +78,14 @@ def require_chw(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     return x
 
 
+def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """A [C,H,W] map with ``pad`` zero rows and columns on every side."""
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
 # ---------------------------------------------------------------------------
 # resampling and pooling
 
@@ -85,7 +93,8 @@ def bilinear_taps(h: int, w: int, out_h: int, out_w: int) -> list:
     """The four (rows, cols, weight) taps of an align-corners resize from
     h x w to out_h x out_w, ordered top-left, top-right, bottom-left,
     bottom-right.  Output pixel (i, j) reads input (rows[i], cols[j]) with
-    weight[i, j]; the resize and its vjp both use this one table."""
+    weight[i, j].  :func:`bilinear_table` holds them for the resize and its
+    vjp."""
     def axis_coords(n_in, n_out):
         if n_out == 1:
             src = np.array([0.5 * (n_in - 1)])
@@ -98,6 +107,20 @@ def bilinear_taps(h: int, w: int, out_h: int, out_w: int) -> list:
 
     return [(yi, xi, wy[:, None] * wx[None, :])
             for yi, wy in axis_coords(h, out_h) for xi, wx in axis_coords(w, out_w)]
+
+
+@lru_cache(maxsize=32)
+def bilinear_table(h: int, w: int, out_h: int, out_w: int) -> tuple:
+    """:func:`bilinear_taps` as one read-only table: the flat input index
+    [4, out_h*out_w] and the weight [4, out_h, out_w] of each tap.  The resize
+    gathers each tap with one np.take, and its vjp scatters all four, tap by
+    tap, with one np.bincount per channel."""
+    taps = bilinear_taps(h, w, out_h, out_w)
+    index = np.stack([(yi[:, None] * w + xi[None, :]).ravel() for yi, xi, _ in taps])
+    weight = np.stack([wt for _, _, wt in taps])
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
@@ -113,9 +136,17 @@ def bilinear_resize(x, out_h: int, out_w: int) -> np.ndarray:
     c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x.copy()
-    t = [x[:, yi][:, :, xi] * wt for yi, xi, wt in bilinear_taps(h, w, out_h, out_w)]
+    index, weight = bilinear_table(h, w, out_h, out_w)
+    flat = x.reshape(c, h * w)
+    t = [np.take(flat, ik, axis=1).reshape(c, out_h, out_w) for ik in index]
+    for tk, wk in zip(t, weight):
+        tk *= wk
+    # (t0 + t1) + (t2 + t3), in the gathered buffers
+    t[0] += t[1]
+    t[2] += t[3]
+    t[0] += t[2]
     _tally(4 * c * out_h * out_w)
-    return (t[0] + t[1]) + (t[2] + t[3])
+    return t[0]
 
 
 def pool_output_extent(n_in: int, k: int) -> int:
@@ -146,6 +177,11 @@ def avg_pool(x, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution
 
+# elements in one column block of the conv accumulator (1 MB): the block and
+# its product temporary stay in L2 across every tap and input channel
+_CONV_BLOCK = 1 << 17
+
+
 def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
     """2-D convolution (cross-correlation), zero padding.
 
@@ -168,30 +204,49 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
         raise InvalidArgumentError(f"conv2d: input has {c} channels, weight expects {c_in}")
     if h + 2 * pad < kh or w + 2 * pad < kw:
         raise InvalidArgumentError("conv2d: kernel larger than padded input")
-
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    if pad:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
-
-    acc = np.empty((c_out, out_h, out_w))
-    if bias is None:
-        acc[:] = 0.0
-    else:
+    if bias is not None:
         bias = as_tensor(bias, "conv bias")
         if bias.shape != (c_out,):
             raise InvalidArgumentError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-        acc[:] = bias[:, None, None]
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[:, ky:ky + stride * out_h:stride, kx:kx + stride * out_w:stride]
-            for ci in range(c_in):
-                acc += weight[:, ci, ky, kx][:, None, None] * patch[ci]
+
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    # Zero-pad once to whole multiples of the stride, then split into the
+    # stride x stride phases xp[:, py::stride, px::stride], each flattened.
+    # Tap (ky, kx) then reads every output position of its phase as one
+    # contiguous run at offset (ky // stride) * aw + kx // stride, and the
+    # aw - out_w surplus columns of each output row are dropped at the end.
+    ah = -(-(h + 2 * pad) // stride)
+    aw = -(-(w + 2 * pad) // stride)
+    if (stride * ah, stride * aw) == (h, w):
+        xp = x
+    else:
+        xp = np.zeros((c, stride * ah, stride * aw))
+        xp[:, pad:pad + h, pad:pad + w] = x
+    phases = np.ascontiguousarray(
+        xp.reshape(c, ah, stride, aw, stride).transpose(2, 4, 0, 1, 3)
+    ).reshape(stride, stride, c, ah * aw)
+
+    w_taps = weight.transpose(2, 3, 1, 0)[..., None]        # [kh, kw, c_in, c_out, 1]
+    n = (out_h - 1) * aw + out_w                # flat positions up to the last output
+    cols = min(n, max(1, _CONV_BLOCK // c_out))
+    acc = np.empty((c_out, out_h * aw))
+    buf = np.empty((2, c_out * cols))           # one contiguous block and its product
+    for c0 in range(0, n, cols):
+        m = min(cols, n - c0)
+        blk = buf[0, :c_out * m].reshape(c_out, m)
+        t = buf[1, :c_out * m].reshape(c_out, m)
+        blk[:] = 0.0 if bias is None else bias[:, None]
+        for ky in range(kh):
+            for kx in range(kw):
+                start = (ky // stride) * aw + kx // stride + c0
+                run = phases[ky % stride, kx % stride, :, start:start + m]
+                for ci in range(c_in):
+                    np.multiply(w_taps[ky, kx, ci], run[ci], out=t)
+                    blk += t
+        acc[:, c0:c0 + m] = blk
     _tally(c_out * out_h * out_w * c_in * kh * kw)
-    return acc
+    return np.ascontiguousarray(acc.reshape(c_out, out_h, aw)[:, :, :out_w])
 
 
 def depthwise_conv(x, dw_weight) -> np.ndarray:
@@ -213,8 +268,7 @@ def depthwise_conv(x, dw_weight) -> np.ndarray:
         raise InvalidArgumentError(f"depthwise kernel must be odd, got {k}")
     pad = (k - 1) // 2
 
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    xp[:, pad:pad + h, pad:pad + w] = x
+    xp = zero_pad(x, pad)
     out = np.zeros((c, h, w))
     for ky in range(k):
         for kx in range(k):

@@ -37,6 +37,26 @@ def naive_conv2d(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def tap_loop_conv2d(x, w, b=None, stride=1, pad=0):
+    """conv2d in its per-tap broadcast form: for each tap (row-major), then
+    each input channel (ascending), add a [C_out,1,1] weight column times a
+    strided [H,W] window to the whole output, which starts from the bias."""
+    cin, h, wth = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.zeros((cin, h + 2 * pad, wth + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + wth] = x
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wth + 2 * pad - kw) // stride + 1
+    acc = np.empty((cout, oh, ow), dtype=np.float64)
+    acc[:] = 0.0 if b is None else b[:, None, None]
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = xp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+            for ci in range(cin):
+                acc += w[:, ci, ky, kx][:, None, None] * patch[ci]
+    return acc
+
+
 def naive_avg_pool(x, k, stride=None):
     stride = k if stride is None else stride
     c, h, w = x.shape

@@ -419,6 +419,27 @@ def _bilinear_vjp_add_at(g, shape):
     return dx
 
 
+def _bilinear_two_step_gather(x, out_h, out_w):
+    """The resize as one row gather, then one column gather, per tap."""
+    _, h, w = x.shape
+    t = [x[:, yi][:, :, xi] * wt for yi, xi, wt in ops.bilinear_taps(h, w, out_h, out_w)]
+    return (t[0] + t[1]) + (t[2] + t[3])
+
+
+@pytest.mark.parametrize("shape,target", [((3, 5, 7), (10, 14)), ((2, 8, 8), (16, 16)),
+                                          ((2, 16, 12), (7, 5)), ((4, 6, 6), (1, 1)),
+                                          ((1, 9, 4), (9, 11)), ((9, 7, 3), (2, 13)),
+                                          ((16, 38, 38), (112, 112)),
+                                          ((8, 32, 32), (64, 64))])
+def test_bilinear_forward_bits_equal_two_step_gather(shape, target):
+    for seed in (1, 2):
+        x = u(seed, "g.blfwd.x", shape)
+        got = ops.bilinear_resize(x, *target)
+        ref = _bilinear_two_step_gather(x, *target)
+        assert got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("shape,target", [((3, 5, 7), (10, 14)), ((2, 8, 8), (16, 16)),
                                           ((2, 16, 12), (7, 5)), ((4, 6, 6), (1, 1)),
                                           ((1, 9, 4), (9, 11)), ((9, 7, 3), (2, 13))])

@@ -39,6 +39,75 @@ def test_conv2d_1x1_bit_exact():
     assert np.array_equal(ops.conv2d(x, w), oracles.naive_conv2d(x, w))
 
 
+# (input shape, weight shape, stride, pad) of the convs the library runs at
+# the benchmark's sizes, plus layouts that no caller uses yet
+CONV_LAYOUT_CASES = [
+    # the density branch on 64x64 scenes: encoder, then decoder and regressor
+    ((1, 64, 64), (8, 1, 3, 3), 2, 1),
+    ((8, 32, 32), (16, 8, 3, 3), 2, 1),
+    ((16, 16, 16), (32, 16, 3, 3), 2, 1),
+    ((32, 16, 16), (16, 32, 3, 3), 1, 1),
+    ((16, 32, 32), (8, 16, 3, 3), 1, 1),
+    ((8, 64, 64), (8, 8, 3, 3), 1, 1),
+    ((8, 64, 64), (1, 8, 3, 3), 1, 1),
+    # DFFM's 3x3 and 1x1 convs (and DAFM's pointwise conv) at 112x112, C=16:
+    # more than one column block
+    ((16, 112, 112), (16, 16, 3, 3), 1, 1),
+    ((16, 112, 112), (16, 16, 1, 1), 1, 0),
+    # DFFM's band-mask conv and 7x7 spatial-attention conv on the 112x112
+    # map pooled by 3, 6 and 9
+    ((16, 38, 38), (1, 16, 1, 1), 1, 0),
+    ((2, 38, 38), (1, 2, 7, 7), 1, 3),
+    ((2, 19, 19), (1, 2, 7, 7), 1, 3),
+    ((2, 13, 13), (1, 2, 7, 7), 1, 3),
+    # density calibration's 1 -> 4 and 4 -> 1 convs
+    ((1, 112, 112), (4, 1, 3, 3), 1, 1),
+    ((4, 112, 112), (1, 4, 1, 1), 1, 0),
+    # DAFM's agent bank: a 1x1 conv on the 7x7-pooled 112x112 features
+    ((16, 16, 16), (16, 16, 1, 1), 1, 0),
+    # stride 2 without padding on odd extents, and a pad of 2
+    ((3, 9, 11), (2, 3, 3, 3), 2, 0),
+    ((2, 7, 13), (3, 2, 5, 5), 2, 0),
+    ((2, 10, 9), (3, 2, 3, 3), 1, 2),
+    ((2, 9, 10), (3, 2, 5, 5), 2, 2),
+]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,w_shape,stride,pad", CONV_LAYOUT_CASES)
+def test_conv2d_bit_exact_vs_tap_loop(x_shape, w_shape, stride, pad):
+    x = u(1, "cl.x", x_shape, 4)
+    w = u(2, "cl.w", w_shape, w_shape[1] * w_shape[2] * w_shape[3])
+    b = u(3, "cl.b", (w_shape[0],), 9)
+    for bias in (b, None):
+        got = ops.conv2d(x, w, bias, stride, pad)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert _same_bits(got, oracles.tap_loop_conv2d(x, w, bias, stride, pad))
+
+
+def test_conv2d_signed_zeros_match_tap_loop():
+    # zero inputs and weights of both signs make +-0 products: without a bias
+    # every output starts at +0.0, and with a -0.0 bias a sum of -0 products
+    # (all--0 input, positive weights, no padding) stays -0
+    x = np.array([0.0, -0.0, 1.0, -2.0, 0.0, -0.0] * 8).reshape(2, 4, 6)
+    w = np.array([-1.0, 0.0, -0.0, 2.0, -0.0, 1.5, 0.0, -3.0, 0.0] * 4).reshape(2, 2, 3, 3)
+    neg_zero = np.full((2, 4, 6), -0.0)
+    for xx, ww in ((x, w), (neg_zero, w), (neg_zero, np.abs(w) + 1.0)):
+        for bias in (None, np.array([-0.0, 0.0])):
+            for stride, pad in ((1, 0), (1, 1), (2, 1)):
+                got = ops.conv2d(xx, ww, bias, stride, pad)
+                assert _same_bits(got, oracles.tap_loop_conv2d(xx, ww, bias, stride, pad))
+    assert np.signbit(ops.conv2d(neg_zero, np.abs(w) + 1.0, np.array([-0.0, 0.0]))[0]).all()
+    # a strided view as input gives the bits of its contiguous copy
+    view = u(4, "cl.view", (3, 12, 16), 4)[:, ::2, 1::2]
+    w3 = u(5, "cl.w3", (2, 3, 3, 3), 27)
+    assert _same_bits(ops.conv2d(view, w3, None, 2, 1),
+                      oracles.tap_loop_conv2d(np.ascontiguousarray(view), w3, None, 2, 1))
+
+
 def test_conv2d_kernel_too_large():
     x = np.zeros((1, 3, 3))
     w = np.zeros((1, 1, 5, 5))
