@@ -375,19 +375,11 @@ avg_pool = defop(ops.avg_pool, _avg_pool_vjp)
 
 
 def _depthwise_vjp(g, out, needs, x, weight):
-    c, h, w = x.shape
-    k = weight.shape[2]
-    pad = (k - 1) // 2
-    gp = np.zeros((c, h + 2 * pad, w + 2 * pad)) if needs[0] else None
-    xp = ops.zero_pad(x, pad) if needs[1] else None
-    dw = np.empty_like(weight)
-    for ky in range(k):
-        for kx in range(k):
-            if needs[0]:
-                gp[:, ky:ky + h, kx:kx + w] += weight[:, 0, ky, kx][:, None, None] * g
-            if needs[1]:
-                dw[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + w]).sum(axis=(1, 2))
-    return (gp[:, pad:pad + h, pad:pad + w] if needs[0] else None, dw if needs[1] else None)
+    """One single-channel :func:`_conv2d_vjp` per channel, as the forward."""
+    pad = (weight.shape[2] - 1) // 2
+    parts = [_conv2d_vjp(g[i:i + 1], None, needs, x[i:i + 1], weight[i:i + 1], None, 1, pad)
+             for i in range(x.shape[0])]
+    return tuple(np.concatenate(cts) if need else None for need, cts in zip(needs, zip(*parts)))
 
 
 depthwise_conv = defop(ops.depthwise_conv, _depthwise_vjp)

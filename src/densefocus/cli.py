@@ -85,6 +85,11 @@ def _resolve_seed(args, doc: dict) -> int:
     return args.seed if args.seed is not None else _num_value("seed", doc.get("seed", 0))
 
 
+def _seed_override(args) -> dict:
+    """``--seed`` as keyword arguments if given, else none: the library default applies."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
 def _verbose(args, msg: str) -> None:
     if args.verbose:
         print(msg, file=sys.stderr)
@@ -102,8 +107,8 @@ def cmd_synth(args) -> int:
         **{key: _num_value(key, doc[key]) for key in ("width", "height", "n_clusters")},
         **_set_fields(doc, {"objects_per_cluster": _range_value,
                             "object_size": _range_value,
-                            "cluster_spread": _real_value}),
-        seed=_resolve_seed(args, doc))
+                            "cluster_spread": _real_value,
+                            "seed": _num_value}) | _seed_override(args))
     os.makedirs(args.out_dir, exist_ok=True)
     image, annotations = generate_scene(spec, image_id=args.image_id)
     _ensure_finite(image, "synth image")
@@ -248,8 +253,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_demo(args) -> int:
-    seed = args.seed if args.seed is not None else 7
-    trace = train.train_demo(steps=args.steps, lr=args.lr, seed=seed)
+    trace = train.train_demo(steps=args.steps, lr=args.lr, **_seed_override(args))
     lines = ["step,loss"]
     lines += [f"{i},{v!r}" for i, v in enumerate(trace)]
     payload = "\n".join(lines) + "\n"

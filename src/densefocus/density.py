@@ -73,12 +73,12 @@ def density_values(d) -> np.ndarray:
     if isinstance(d, DensityMap):
         return d.values
     if isinstance(d, ad.Var):
-        raise InvalidArgumentError("expected a concrete density map, got a graph node")
-    arr = as_tensor(d, "density")
+        raise InvalidArgumentError("expected a concrete map, got a graph node")
+    arr = as_tensor(d, "map")
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] != 1:
-        raise InvalidArgumentError(f"density map must be [1,H,W], got shape {arr.shape}")
+        raise InvalidArgumentError(f"map must be [1,H,W] or [H,W], got shape {arr.shape}")
     return arr
 
 

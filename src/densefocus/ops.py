@@ -250,14 +250,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
 
 
 def depthwise_conv(x, dw_weight) -> np.ndarray:
-    """Depthwise 'same' conv (odd square kernel, stride 1, zero padding);
-    equals per-channel single-channel conv2d calls bit for bit."""
+    """Depthwise 'same' conv (odd square kernel, stride 1, zero padding):
+    one single-channel :func:`conv2d` per channel."""
     x = require_chw(as_tensor(x, "dsconv input"), "dsconv input")
     dw_weight = as_tensor(dw_weight, "depthwise weight")
     if dw_weight.ndim != 4 or dw_weight.shape[1] != 1:
         raise InvalidArgumentError(
             f"depthwise weight must be [C,1,k,k], got shape {dw_weight.shape}")
-    c, h, w = x.shape
+    c = x.shape[0]
     if dw_weight.shape[0] != c:
         raise InvalidArgumentError(
             f"depthwise weight has {dw_weight.shape[0]} channels, input has {c}")
@@ -266,15 +266,8 @@ def depthwise_conv(x, dw_weight) -> np.ndarray:
         raise InvalidArgumentError("depthwise kernel must be square")
     if k % 2 == 0:
         raise InvalidArgumentError(f"depthwise kernel must be odd, got {k}")
-    pad = (k - 1) // 2
-
-    xp = zero_pad(x, pad)
-    out = np.zeros((c, h, w))
-    for ky in range(k):
-        for kx in range(k):
-            out += dw_weight[:, 0, ky, kx][:, None, None] * xp[:, ky:ky + h, kx:kx + w]
-    _tally(c * h * w * k * k)
-    return out
+    return np.concatenate([conv2d(x[i:i + 1], dw_weight[i:i + 1], None, 1, (k - 1) // 2)
+                           for i in range(c)])
 
 
 def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None) -> np.ndarray:

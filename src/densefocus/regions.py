@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .density import density_values
 from .errors import InvalidArgumentError, UnsupportedOperationError
-from .ops import as_tensor
 
 
 def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.ndarray:
@@ -121,15 +120,7 @@ def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     (1-based coordinates), and each non-empty cluster contributes its
     bounding rectangle.  An empty mask maps to an empty mask and no regions.
     """
-    m = as_tensor(mask, "mask")
-    if m.ndim == 3:
-        if m.shape[0] != 1:
-            raise InvalidArgumentError(f"refine_mask: mask must be [1,H,W], got {m.shape}")
-        m2 = m[0]
-    elif m.ndim == 2:
-        m2 = m
-    else:
-        raise InvalidArgumentError(f"refine_mask: bad mask rank {m.ndim}")
+    m2 = density_values(mask)[0]
     if not np.all((m2 == 0.0) | (m2 == 1.0)):
         raise InvalidArgumentError("refine_mask: mask entries must be 0 or 1")
     h, w = m2.shape
@@ -160,9 +151,7 @@ def focus_bank(x, mask, weight, bias, kernel: int = 7):
     if isinstance(mask, ad.Var):
         raise UnsupportedOperationError("focus_bank: mask must be a concrete array")
     xv = ad.value_of(x, "focus input")
-    mv = as_tensor(mask, "focus mask")
-    if mv.ndim == 2:
-        mv = mv[None]
+    mv = density_values(mask)
     if mv.shape != (1,) + xv.shape[1:]:
         raise InvalidArgumentError(
             f"focus_bank: mask shape {mv.shape} does not match features {xv.shape}")

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .density import BBoxAnnotation
+from .density import BBoxAnnotation, density_values
 from .errors import FormatError, InvalidArgumentError, NumericError
 from .evalkit import Detection
 from .ops import as_tensor
@@ -75,13 +75,7 @@ def read_tensor(path) -> np.ndarray:
 def write_heatmap(path, density_map) -> None:
     """Min-max normalize a [1,H,W] (or [H,W]) map to 8-bit and write binary
     PGM (P5).  Constant maps emit mid-gray 128; non-finite maps raise NumericError."""
-    arr = as_tensor(density_map, "heatmap")
-    if arr.ndim == 3:
-        if arr.shape[0] != 1:
-            raise InvalidArgumentError(f"write_heatmap: need [1,H,W], got {arr.shape}")
-        arr = arr[0]
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"write_heatmap: bad rank {arr.ndim}")
+    arr = density_values(density_map)[0]
     if not np.isfinite(arr).all():
         raise NumericError("write_heatmap: non-finite values")
     lo, hi = float(arr.min()), float(arr.max())

@@ -94,6 +94,40 @@ def naive_depthwise_separable(x, dw, pw, b=None):
     return naive_conv2d(mid, pw, b, 1, 0)
 
 
+def tap_loop_depthwise(x, dw):
+    """Depthwise 'same' conv in its per-tap broadcast form: for each tap
+    (row-major), add a [C,1,1] weight column times the shifted [C,H,W]
+    window to the whole output, which starts from 0.0."""
+    c, h, wd = x.shape
+    k = dw.shape[2]
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + wd] = x
+    out = np.zeros((c, h, wd), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            out += dw[:, 0, ky, kx][:, None, None] * xp[:, ky:ky + h, kx:kx + wd]
+    return out
+
+
+def tap_loop_depthwise_vjp(g, x, dw):
+    """Input and weight cotangents of :func:`tap_loop_depthwise`, tap by
+    tap: the input one scattered into a zero-padded buffer, the weight one a
+    numpy pairwise sum of g times each shifted window."""
+    c, h, wd = x.shape
+    k = dw.shape[2]
+    pad = (k - 1) // 2
+    xp = np.zeros((c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + wd] = x
+    gp = np.zeros_like(xp)
+    dw_ct = np.empty_like(dw)
+    for ky in range(k):
+        for kx in range(k):
+            gp[:, ky:ky + h, kx:kx + wd] += dw[:, 0, ky, kx][:, None, None] * g
+            dw_ct[:, 0, ky, kx] = (g * xp[:, ky:ky + h, kx:kx + wd]).sum(axis=(1, 2))
+    return gp[:, pad:pad + h, pad:pad + wd], dw_ct
+
+
 # ---------------------------------------------------------------------------
 # orthonormal DCT-II from the definition
 

@@ -13,6 +13,8 @@ from densefocus.density import (
 )
 from densefocus.errors import InvalidArgumentError
 from densefocus.params import seeded_uniform
+from densefocus.regions import focus_bank, refine_mask
+from densefocus.tensorfile import write_heatmap
 
 import oracles
 
@@ -143,6 +145,38 @@ def test_density_map_validation_and_coercion():
         density_values(np.zeros((2, 3, 3)))
     with pytest.raises(InvalidArgumentError):
         density_values(ad.Var(np.zeros((1, 3, 3))))
+
+
+def _refined_bytes(m, tmp_path):
+    out, regions = refine_mask(m)
+    return out.tobytes(), regions.to_json_dict()
+
+
+def _heatmap_bytes(m, tmp_path):
+    write_heatmap(tmp_path / "map.pgm", m)
+    return (tmp_path / "map.pgm").read_bytes()
+
+
+# the library's other consumers of a [1,H,W] or [H,W] map, each reduced to
+# comparable bytes
+MAP_CONSUMERS = {
+    "refine_mask": _refined_bytes,
+    "focus_bank": lambda m, tmp_path: focus_bank(
+        np.arange(72.0).reshape(2, 6, 6), m, np.ones((2, 2, 1, 1)), None, 3).tobytes(),
+    "write_heatmap": _heatmap_bytes,
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(MAP_CONSUMERS))
+def test_map_consumers_share_the_density_coercion(consumer, tmp_path):
+    call = MAP_CONSUMERS[consumer]
+    mask = np.zeros((6, 6))
+    mask[1:3, 2:5] = 1.0
+    mask[5, 0] = 1.0
+    assert call(mask, tmp_path) == call(mask[None], tmp_path)
+    for bad in (np.zeros((2, 6, 6)), np.zeros(6), np.zeros((1, 1, 6, 6))):
+        with pytest.raises(InvalidArgumentError):
+            call(bad, tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,54 @@ def test_depthwise_separable_bit_exact_vs_naive():
     assert np.array_equal(got, ref)
 
 
+# (C, H, W, k) of the depthwise convs the library runs: DAFM's local branch
+# on the benchmark's 112x112 C=16 features and at its gradcheck point, then
+# wider kernels and one channel
+DEPTHWISE_LAYOUTS = [(16, 112, 112, 3), (3, 8, 8, 3), (4, 20, 20, 5), (4, 20, 20, 7),
+                     (1, 9, 7, 3)]
+
+
+def _depthwise_case(c, h, w, k, special):
+    x = u(c, "dw.x", (c, h, w), 4)
+    dw = u(k, "dw.w", (c, 1, k, k), k * k)
+    g = u(h, "dw.g", (c, h, w), 4)
+    if special:
+        # +-0 inputs, weights and cotangents, and one NaN input pixel; the last
+        # channel is all -0 under positive weights, so every product there is
+        # -0 and only the 0.0 start makes the output +0
+        x[:, ::3, ::2] = -0.0
+        x[:, 1::4] = 0.0
+        dw[:, :, 0, :] = -0.0
+        x[-1] = -0.0
+        dw[-1] = np.abs(dw[-1]) + 0.5
+        x[0, h // 2, w // 2] = np.nan
+        g[:, ::2, 1::3] = -0.0
+    return x, dw, g
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["uniform", "signed-zero-nan"])
+@pytest.mark.parametrize("c,h,w,k", DEPTHWISE_LAYOUTS)
+def test_depthwise_bits_equal_tap_loop(c, h, w, k, special):
+    x, dw, g = _depthwise_case(c, h, w, k, special)
+    got = ops.depthwise_conv(x, dw)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert _same_bits(got, oracles.tap_loop_depthwise(x, dw))
+    with ops.count_macs() as counter:
+        ops.depthwise_conv(x, dw)
+    assert counter.macs == c * h * w * k * k
+
+    # the input cotangents agree bit for bit; the weight cotangent sums with
+    # np.dot, the reference with numpy's pairwise sum, so they agree to roundoff
+    xv, wv = ad.Var(x), ad.Var(dw)
+    dx, ddw = ad.vjp(ad.depthwise_conv(xv, wv), g, [xv, wv])
+    want_dx, want_dw = oracles.tap_loop_depthwise_vjp(g, x, dw)
+    assert _same_bits(dx, want_dx)
+    assert np.allclose(ddw, want_dw, rtol=1e-12, atol=0.0, equal_nan=True)
+    # one argument a Var at a time gives the same cotangent
+    assert _same_bits(ad.vjp(ad.depthwise_conv(xv, dw), g, [xv])[0], dx)
+    assert _same_bits(ad.vjp(ad.depthwise_conv(x, wv), g, [wv])[0], ddw)
+
+
 def test_depthwise_requires_odd_square_kernel():
     x = np.zeros((2, 4, 4))
     with pytest.raises(InvalidArgumentError):
