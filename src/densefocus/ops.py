@@ -180,6 +180,9 @@ def avg_pool(x, k: int) -> np.ndarray:
 # elements in one column block of the conv accumulator (1 MB): the block and
 # its product temporary stay in L2 across every tap and input channel
 _CONV_BLOCK = 1 << 17
+# ufunc buffer for the tap loop: at numpy's default 8192, rows shorter than
+# ~4096 go through the iterator's buffers; 16 runs the plain strided loop
+_CONV_BUFSIZE = 16
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -232,19 +235,23 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
     cols = min(n, max(1, _CONV_BLOCK // c_out))
     acc = np.empty((c_out, out_h * aw))
     buf = np.empty((2, c_out * cols))           # one contiguous block and its product
-    for c0 in range(0, n, cols):
-        m = min(cols, n - c0)
-        blk = buf[0, :c_out * m].reshape(c_out, m)
-        t = buf[1, :c_out * m].reshape(c_out, m)
-        blk[:] = 0.0 if bias is None else bias[:, None]
-        for ky in range(kh):
-            for kx in range(kw):
-                start = (ky // stride) * aw + kx // stride + c0
-                run = phases[ky % stride, kx % stride, :, start:start + m]
-                for ci in range(c_in):
-                    np.multiply(w_taps[ky, kx, ci], run[ci], out=t)
-                    blk += t
-        acc[:, c0:c0 + m] = blk
+    old_bufsize = np.setbufsize(_CONV_BUFSIZE)  # errstate restores it only from numpy 2.0
+    try:
+        for c0 in range(0, n, cols):
+            m = min(cols, n - c0)
+            blk = buf[0, :c_out * m].reshape(c_out, m)
+            t = buf[1, :c_out * m].reshape(c_out, m)
+            blk[:] = 0.0 if bias is None else bias[:, None]
+            for ky in range(kh):
+                for kx in range(kw):
+                    start = (ky // stride) * aw + kx // stride + c0
+                    run = phases[ky % stride, kx % stride, :, start:start + m]
+                    for ci in range(c_in):
+                        np.multiply(w_taps[ky, kx, ci], run[ci], out=t)
+                        blk += t
+            acc[:, c0:c0 + m] = blk
+    finally:
+        np.setbufsize(old_bufsize)
     _tally(c_out * out_h * out_w * c_in * kh * kw)
     return np.ascontiguousarray(acc.reshape(c_out, out_h, aw)[:, :, :out_w])
 

@@ -89,8 +89,10 @@ def generate_scene(spec: SceneSpec, image_id: int = 1):
                 image_id=image_id, category_id=1,
                 cx=left + bw / 2.0, cy=top + bh / 2.0,
                 width=float(bw), height=float(bh)))
-    for i in range(h):     # row by row: a whole-image draw holds a list of 2HW floats
-        image[0, i] += NOISE_SIGMA * rng.normals(w)
+    rows = max(1, 1024 // w)   # a few rows per draw: a whole-image one holds 2HW floats
+    for i in range(0, h, rows):
+        r = min(rows, h - i)
+        image[0, i:i + r] += NOISE_SIGMA * rng.normals(r * w).reshape(r, w)
     return image, annotations
 
 

@@ -108,6 +108,37 @@ def test_conv2d_signed_zeros_match_tap_loop():
                       oracles.tap_loop_conv2d(np.ascontiguousarray(view), w3, None, 2, 1))
 
 
+@pytest.mark.parametrize("x_shape,w_shape,stride,pad", CONV_LAYOUT_CASES)
+def test_conv2d_gives_back_the_callers_numpy_state(x_shape, w_shape, stride, pad):
+    # the tap loop sets its own ufunc buffer size: the bits must not depend on
+    # the caller's, and the caller's buffer size and error settings come back
+    x = u(1, "cl.x", x_shape, 4)
+    w = u(2, "cl.w", w_shape, w_shape[1] * w_shape[2] * w_shape[3])
+    b = u(3, "cl.b", (w_shape[0],), 9)
+    for bias in (b, None):
+        want = oracles.tap_loop_conv2d(x, w, bias, stride, pad)
+        for bufsize in (8192, 16, 65536):
+            old = np.setbufsize(bufsize)
+            try:
+                with np.errstate(divide="ignore", under="warn"):
+                    err = np.geterr()
+                    got = ops.conv2d(x, w, bias, stride, pad)
+                    assert np.getbufsize() == bufsize and np.geterr() == err
+            finally:
+                np.setbufsize(old)
+            assert _same_bits(got, want)
+
+
+def test_conv2d_raises_under_the_callers_errstate():
+    x = np.full((2, 5, 5), 1e200)
+    w = np.full((3, 2, 3, 3), 1e200)
+    bufsize = np.getbufsize()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            ops.conv2d(x, w, None, 1, 1)
+        assert np.geterr()["over"] == "raise" and np.getbufsize() == bufsize
+
+
 def test_conv2d_kernel_too_large():
     x = np.zeros((1, 3, 3))
     w = np.zeros((1, 1, 5, 5))
