@@ -23,8 +23,8 @@ from .density import (BBoxAnnotation, CalibParams, DensityMap, DgbConfig,
                       object_sigma)
 from .regions import RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask
 from .dafm import (DafmIntermediates, DafmParams, IfamParams, dafm_forward,
-                   dafm_params, expected_agents, ifam_params, ifam_stage1,
-                   ifam_stage2, project_qkv)
+                   dafm_params, expected_agents, ifam_forward, ifam_params,
+                   ifam_stage1, ifam_stage2, project_qkv)
 from .dffm import (DEFAULT_KERNEL_SET, DffmParams, EdhParams, FrequencyPair,
                    dffm_forward, dffm_params, edh, edh_params, frequency_masks,
                    frequency_split)
@@ -32,7 +32,7 @@ from .evalkit import (IOU_THRESHOLDS, SIZE_BUCKETS, APReport, Detection,
                       ap_report, average_precision, iou, match_detections)
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, read_tensor,
-                         save_annotation_file, write_heatmap, write_tensor)
+                         save_annotation_file, write_heatmap, write_json, write_tensor)
 from .complexity import measured_global_attention_macs, measured_ifam_macs
 from .train import train_demo
 
@@ -59,8 +59,8 @@ __all__ = [
     "dgb_forward", "dgb_params", "gt_density", "object_sigma",
     "RegionSet", "focus_bank", "kmeans2", "refine_mask", "threshold_mask",
     "DafmIntermediates", "DafmParams", "IfamParams", "dafm_forward",
-    "dafm_params", "expected_agents", "ifam_params", "ifam_stage1",
-    "ifam_stage2", "project_qkv",
+    "dafm_params", "expected_agents", "ifam_forward", "ifam_params",
+    "ifam_stage1", "ifam_stage2", "project_qkv",
     "DEFAULT_KERNEL_SET", "DffmParams", "EdhParams", "FrequencyPair",
     "dffm_forward", "dffm_params", "edh", "edh_params", "frequency_masks",
     "frequency_split",
@@ -68,7 +68,7 @@ __all__ = [
     "average_precision", "iou", "match_detections",
     "SceneSpec", "generate_scene", "perturb_detections",
     "load_annotation_file", "read_tensor", "save_annotation_file",
-    "write_heatmap", "write_tensor",
+    "write_heatmap", "write_json", "write_tensor",
     "measured_global_attention_macs", "measured_ifam_macs",
     "cli_dispatch", "main", "train_demo",
     "__version__",

@@ -161,7 +161,7 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0) -> float:
     of coordinates exceeds ``_GRAD_CHECK_COORDS`` (512), a seeded subset of
     that many is probed.
     Returns the maximum relative error max|analytic - numeric| /
-    max(1e-8, |numeric|) over the probed coordinates.
+    max(1e-8, |numeric|) over the probed coordinates, NaN if any is NaN.
     """
     if isinstance(point, np.ndarray) or np.isscalar(point):
         point = [point]
@@ -207,9 +207,8 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0) -> float:
         numeric = (f_plus - f_minus) / (2.0 * eps)
         an = float(analytic[ai].flat[flat])
         err = abs(an - numeric) / max(1e-8, abs(numeric))
-        if err > max_err:
-            max_err = err
-    return max_err
+        max_err = np.maximum(max_err, err)  # a NaN error stays the maximum
+    return float(max_err)
 
 
 # ---------------------------------------------------------------------------

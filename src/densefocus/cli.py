@@ -23,21 +23,15 @@ from .density import calib_params, calibrate_density, gt_density
 from .dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params
 from .errors import DenseFocusError, FormatError, InvalidArgumentError, NumericError
 from .evalkit import ap_report
+from .ops import require_finite
 from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, read_tensor, save_annotation_file,
-                         write_heatmap, write_tensor)
-
-
-def _ensure_finite(arr, label: str, error=NumericError) -> None:
-    if not np.isfinite(arr).all():
-        raise error(f"{label}: non-finite values")
+                         write_heatmap, write_json, write_tensor)
 
 
 def _read_density(path) -> np.ndarray:
-    d = read_tensor(path)
-    _ensure_finite(d, f"density {path}", FormatError)
-    return d
+    return require_finite(read_tensor(path), f"density {path}", FormatError)
 
 
 def _load_json(path, label: str) -> dict:
@@ -109,18 +103,19 @@ def cmd_synth(args) -> int:
                             "object_size": _range_value,
                             "cluster_spread": _real_value,
                             "seed": _num_value}) | _seed_override(args))
-    os.makedirs(args.out_dir, exist_ok=True)
     image, annotations = generate_scene(spec, image_id=args.image_id)
-    _ensure_finite(image, "synth image")
+    require_finite(image, "synth image")
+    # every draw, and so every flag check, before the first write
+    dets = perturb_detections(annotations, jitter_px=args.jitter,
+                              drop_rate=args.drop, score_noise=args.score_noise,
+                              seed=spec.seed + 1)
+    os.makedirs(args.out_dir, exist_ok=True)
     write_tensor(os.path.join(args.out_dir, "image.drmt"), image)
     write_heatmap(os.path.join(args.out_dir, "image.pgm"), image)
     images = {args.image_id: {"width": spec.width, "height": spec.height,
                               "file_name": "image.drmt"}}
     save_annotation_file(os.path.join(args.out_dir, "annotations.json"),
                          images, annotations)
-    dets = perturb_detections(annotations, jitter_px=args.jitter,
-                              drop_rate=args.drop, score_noise=args.score_noise,
-                              seed=spec.seed + 1)
     save_annotation_file(os.path.join(args.out_dir, "detections.json"),
                          images, dets)
     _verbose(args, f"synth: {len(annotations)} objects, {len(dets)} detections")
@@ -134,7 +129,7 @@ def cmd_gt_density(args) -> int:
     img = images[args.image_id]
     anns = [a for a in annotations if a.image_id == args.image_id]
     dmap = gt_density(anns, int(img["height"]), int(img["width"]))
-    _ensure_finite(dmap.values, "gt density")
+    require_finite(dmap.values, "gt density")
     write_tensor(args.out, dmap.values)
     if args.heatmap:
         write_heatmap(args.heatmap, dmap.values)
@@ -149,7 +144,7 @@ def cmd_calibrate(args) -> int:
                           **_set_fields(doc, {"c_mid": _num_value}))
     d = _read_density(args.density)
     out = calibrate_density(d, params)
-    _ensure_finite(out, "calibrated density")
+    require_finite(out, "calibrated density")
     write_tensor(args.out, out)
     if args.heatmap:
         write_heatmap(args.heatmap, out)
@@ -163,9 +158,7 @@ def cmd_select_regions(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_tensor(os.path.join(args.out_dir, "mask.drmt"), refined)
     write_heatmap(os.path.join(args.out_dir, "mask.pgm"), refined)
-    with open(os.path.join(args.out_dir, "regions.json"), "w", encoding="utf-8") as f:
-        json.dump(regions.to_json_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(args.out_dir, "regions.json"), regions.to_json_dict())
     _verbose(args, f"select-regions: {len(regions.rectangles)} rectangles")
     return 0
 
@@ -186,17 +179,14 @@ def cmd_dafm(args) -> int:
         x, d, params, return_intermediates=True, **bank,
         **_set_fields(doc, {"thresh_mode": lambda key, value: value,
                             "thresh_value": _real_value}))
-    _ensure_finite(out, "dafm output")
+    require_finite(out, "dafm output")
     write_tensor(args.out, out)
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         write_tensor(os.path.join(args.dump_dir, "raw_mask.drmt"), inter.raw_mask)
         write_tensor(os.path.join(args.dump_dir, "refined_mask.drmt"),
                      inter.refined_mask)
-        with open(os.path.join(args.dump_dir, "regions.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump(inter.regions.to_json_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(os.path.join(args.dump_dir, "regions.json"), inter.regions.to_json_dict())
         if inter.bank is not None:
             write_tensor(os.path.join(args.dump_dir, "bank.drmt"), inter.bank)
             write_tensor(os.path.join(args.dump_dir, "gathered.drmt"), inter.gathered)
@@ -219,7 +209,7 @@ def cmd_dffm(args) -> int:
                          **_set_fields(doc, {"ca_reduction": _num_value,
                                              "sa_kernel": _num_value}))
     out = dffm_forward(p, d, params, kernel_set)
-    _ensure_finite(out, "dffm output")
+    require_finite(out, "dffm output")
     write_tensor(args.out, out)
     return 0
 
@@ -227,14 +217,13 @@ def cmd_dffm(args) -> int:
 def cmd_eval(args) -> int:
     _, gts, _ = load_annotation_file(args.gt)
     _, _, dets = load_annotation_file(args.dets)
-    report = ap_report(dets, gts, max_dets=args.max_dets)
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(payload)
+    report = ap_report(dets, gts, max_dets=args.max_dets).to_dict()
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.csv:
-        keys = sorted(report.to_dict())
+        keys = sorted(report)
         with open(args.csv, "w", encoding="utf-8") as f:
             f.write(",".join(keys) + "\n")
-            f.write(",".join(repr(report.to_dict()[k]) for k in keys) + "\n")
+            f.write(",".join(repr(report[k]) for k in keys) + "\n")
     return 0
 
 
@@ -244,9 +233,9 @@ def cmd_gradcheck(args) -> int:
     for label, fn, point in train._gradcheck_cases(args.module, seed):
         err = ad.grad_check(fn, point, eps=1e-6, seed=seed)
         _verbose(args, f"gradcheck {label}: max rel error {err:.3e}")
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)  # a NaN error stays the maximum
     print(f"max relative error: {worst:.6e}")
-    if not (worst < train.GRADCHECK_TOLERANCE) or math.isnan(worst):
+    if not worst < train.GRADCHECK_TOLERANCE:
         raise NumericError(
             f"gradcheck: {worst:.3e} above tolerance {train.GRADCHECK_TOLERANCE}")
     return 0

@@ -10,27 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .dafm import ifam_params, ifam_stage1, ifam_stage2, project_qkv
+from .dafm import ifam_forward, ifam_params
 from .errors import InvalidArgumentError
 from .params import seeded_uniform
 
 
 def measured_ifam_macs(h: int, w: int, channels: int, embed: int,
                        n_agents: int, seed: int = 0) -> int:
-    """Multiply-adds for one two-stage focused attention pass at the given
-    size: pixel q/k/v projections, bank projection, both gated stages, and
-    the output projection."""
+    """Multiply-adds of :func:`.dafm.ifam_forward`, the attention pass that
+    ``dafm_forward`` runs, at the given size: pixel q/k/v projections, bank
+    projection, both gated stages, and the output projection."""
     if min(h, w, channels, embed, n_agents) < 1:
         raise InvalidArgumentError("measured_ifam_macs: all sizes must be >= 1")
     x = seeded_uniform(seed, "complexity.map", (channels, h, w), 1)
     params = ifam_params(channels, embed, n_agents, seed)
     bank_rows = seeded_uniform(seed, "complexity.bank", (n_agents, channels), channels)
     with ops.count_macs() as counter:
-        q, k, v = project_qkv(x, params)
-        bank = ops.matmul(bank_rows, params.w_query.T)
-        gathered = ifam_stage1(bank, k, v, params.bias_fwd)
-        y = ifam_stage2(q, bank, gathered, params.bias_bwd)
-        ops.matmul(y, params.w_out.T)
+        ifam_forward(x, bank_rows, params)
     return counter.macs
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .density import density_values
 from .errors import InvalidArgumentError
-from .ops import pool_output_extent
+from .ops import pool_output_extent, require_finite
 from .params import seeded_uniform
 from .regions import RegionSet, focus_bank, refine_mask, threshold_mask
 
@@ -123,6 +123,17 @@ def ifam_stage2(queries, bank, gathered, bias_bwd):
     return ad.matmul(gates, gathered)
 
 
+def ifam_forward(x, bank_rows, params: IfamParams):
+    """One two-stage attention pass of [C,H,W] features through an [n,C]
+    agent bank: bank and pixel projections, both gated stages and the
+    output projection.  Returns (y_rows [H*W, C], gathered [n,d])."""
+    bank = ad.matmul(bank_rows, ad.transpose2d(params.w_query))
+    q, k, v = project_qkv(x, params)
+    gathered = ifam_stage1(bank, k, v, params.bias_fwd)
+    y_rows = ifam_stage2(q, bank, gathered, params.bias_bwd)
+    return ad.matmul(y_rows, ad.transpose2d(params.w_out)), gathered
+
+
 @dataclass
 class DafmParams:
     """Bank mixer (1x1 conv), attention projections, and the local
@@ -176,14 +187,15 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     thresholded, and refined into cluster rectangles.  Pixels inside the
     rectangles feed the agent bank; the two attention stages produce the
     global branch, added to the always-on depthwise local branch.  With no
-    selected regions the output is exactly the local branch.
+    selected regions the output is exactly the local branch.  A NaN or
+    infinite density raises NumericError.
     """
     xv = ad.value_of(x, "dafm input")
     if xv.ndim != 3:
         raise InvalidArgumentError(f"dafm_forward: input must be [C,H,W], got {xv.shape}")
     c, h, w = xv.shape
 
-    d = density_values(density)
+    d = require_finite(density_values(density), "dafm_forward")
     if d.shape[1:] != (h, w):
         d = ad.bilinear_resize(d, h, w)
     raw_mask = threshold_mask(d, thresh_mode, thresh_value)
@@ -202,11 +214,7 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
             f"dafm_forward: params built for {params.ifam.n_agents} agents, "
             f"input yields {n}")
 
-    bank_rows = ad.matmul(ad.chw_to_rows(bank), ad.transpose2d(params.ifam.w_query))
-    q, k, v = project_qkv(x, params.ifam)
-    gathered = ifam_stage1(bank_rows, k, v, params.ifam.bias_fwd)
-    y_rows = ifam_stage2(q, bank_rows, gathered, params.ifam.bias_bwd)
-    y_rows = ad.matmul(y_rows, ad.transpose2d(params.ifam.w_out))
+    y_rows, gathered = ifam_forward(x, ad.chw_to_rows(bank), params.ifam)
     out = ad.add(ad.rows_to_chw(y_rows, (c, h, w)), local)
     if return_intermediates:
         return out, DafmIntermediates(raw_mask, refined, regions, bank, gathered)

@@ -79,6 +79,8 @@ def density_values(d) -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] != 1:
         raise InvalidArgumentError(f"map must be [1,H,W] or [H,W], got shape {arr.shape}")
+    if arr.size == 0:
+        raise InvalidArgumentError(f"map has a zero extent: shape {arr.shape}")
     return arr
 
 

@@ -16,7 +16,6 @@ from typing import Sequence
 from . import autodiff as ad
 from .density import CalibParams, calib_params, calibrate_density, density_values
 from .errors import InvalidArgumentError
-from .ops import bilinear_resize
 from .params import seeded_uniform
 
 
@@ -171,7 +170,7 @@ def dffm_forward(p, density, params: DffmParams,
     for k, path in zip(kernel_set, params.paths):
         pooled = ad.avg_pool(p, k)
         _, ph, pw = ad.shape_of(pooled)
-        d_k = bilinear_resize(d_raw, ph, pw)
+        d_k = ad.bilinear_resize(d_raw, ph, pw)
         dc_k = ad.bilinear_resize(d_cal, ph, pw)
         m_low, m_high = frequency_masks(pooled, d_k, path.mask_w, path.mask_b)
         pair = frequency_split(pooled, m_low, m_high)

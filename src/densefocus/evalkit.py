@@ -22,7 +22,7 @@ Detection and BBoxAnnotation reject NaN and infinite coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -82,12 +82,7 @@ class APReport:
     fn: int
 
     def to_dict(self) -> dict:
-        return {
-            "ap": self.ap, "ap50": self.ap50, "ap75": self.ap75,
-            "ap_vt": self.ap_vt, "ap_t": self.ap_t,
-            "ap_s": self.ap_s, "ap_m": self.ap_m,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-        }
+        return asdict(self)
 
 
 def _iou_matrix(det_boxes, gt_boxes) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericError
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,13 @@ def require_chw(x: np.ndarray, name: str = "tensor") -> np.ndarray:
         raise InvalidArgumentError(f"{name}: expected 3-D [C,H,W], got shape {x.shape}")
     if min(x.shape) < 1:
         raise InvalidArgumentError(f"{name}: zero extent in shape {x.shape}")
+    return x
+
+
+def require_finite(x: np.ndarray, label: str, error=NumericError) -> np.ndarray:
+    """``x`` itself when it holds no NaN or infinity; else raise ``error``."""
+    if not np.isfinite(x).all():
+        raise error(f"{label}: non-finite values")
     return x
 
 
@@ -235,8 +242,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
     cols = min(n, max(1, _CONV_BLOCK // c_out))
     acc = np.empty((c_out, out_h * aw))
     buf = np.empty((2, c_out * cols))           # one contiguous block and its product
-    old_bufsize = np.setbufsize(_CONV_BUFSIZE)  # errstate restores it only from numpy 2.0
-    try:
+    with np.errstate():                         # restores the buffer size on exit
+        np.setbufsize(_CONV_BUFSIZE)
         for c0 in range(0, n, cols):
             m = min(cols, n - c0)
             blk = buf[0, :c_out * m].reshape(c_out, m)
@@ -250,8 +257,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
                         np.multiply(w_taps[ky, kx, ci], run[ci], out=t)
                         blk += t
             acc[:, c0:c0 + m] = blk
-    finally:
-        np.setbufsize(old_bufsize)
     _tally(c_out * out_h * out_w * c_in * kh * kw)
     return np.ascontiguousarray(acc.reshape(c_out, out_h, aw)[:, :, :out_w])
 

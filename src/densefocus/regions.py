@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .density import density_values
 from .errors import InvalidArgumentError, UnsupportedOperationError
+from .ops import require_finite
 
 
 def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.ndarray:
@@ -25,12 +26,13 @@ def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.n
     mode="absolute": keep pixels with density >= value (value must be >= 0).
     mode="quantile": keep the top ceil(value * H * W) pixels by density,
     ties included, for value in (0, 1].  An all-zero map yields an empty
-    mask in quantile mode (there is nothing to rank).
+    mask in quantile mode (there is nothing to rank).  A NaN or infinite
+    density raises NumericError.
     """
     if isinstance(density, ad.Var):
         raise UnsupportedOperationError(
             "threshold_mask: region selection is not differentiable")
-    d = density_values(density)
+    d = require_finite(density_values(density), "threshold_mask")
     if mode == "absolute":
         if not (value >= 0.0 and math.isfinite(value)):
             raise InvalidArgumentError(f"threshold_mask: bad absolute threshold {value}")

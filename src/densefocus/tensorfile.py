@@ -1,5 +1,5 @@
-"""On-disk formats: the binary tensor container, PGM heatmaps, and the
-COCO-subset annotation JSON.
+"""On-disk formats: the binary tensor container, PGM heatmaps, the
+COCO-subset annotation JSON, and the one JSON writer every artifact uses.
 
 Tensor container layout (all little-endian):
   bytes 0-3   magic "DRMT"
@@ -19,9 +19,9 @@ import struct
 import numpy as np
 
 from .density import BBoxAnnotation, density_values
-from .errors import FormatError, InvalidArgumentError, NumericError
+from .errors import FormatError, InvalidArgumentError
 from .evalkit import Detection
-from .ops import as_tensor
+from .ops import as_tensor, require_finite
 
 MAGIC = b"DRMT"
 VERSION = 1
@@ -75,9 +75,7 @@ def read_tensor(path) -> np.ndarray:
 def write_heatmap(path, density_map) -> None:
     """Min-max normalize a [1,H,W] (or [H,W]) map to 8-bit and write binary
     PGM (P5).  Constant maps emit mid-gray 128; non-finite maps raise NumericError."""
-    arr = density_values(density_map)[0]
-    if not np.isfinite(arr).all():
-        raise NumericError("write_heatmap: non-finite values")
+    arr = require_finite(density_values(density_map), "write_heatmap")[0]
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
         scaled = np.rint((arr - lo) / (hi - lo) * 255.0)
@@ -194,6 +192,11 @@ def save_annotation_file(path, images: dict, annotations) -> None:
         "annotations": ann_records,
         "categories": [{"id": c, "name": f"category-{c}"} for c in sorted(cats)],
     }
+    write_json(path, doc)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: one-space indent, sorted keys, a final newline."""
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")

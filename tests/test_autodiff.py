@@ -12,6 +12,7 @@ from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
+from densefocus.train import GRADCHECK_TOLERANCE
 
 EPS = 1e-6
 TOL = 1e-5
@@ -289,6 +290,18 @@ def test_vjp_returns_zeros_for_unreachable_leaf():
     grads = ad.vjp(out, np.asarray(1.0), [a, b])
     assert np.array_equal(grads[0], np.full((2, 2), 2.0))
     assert np.array_equal(grads[1], np.zeros((3,)))
+
+
+def test_grad_check_fails_a_nan_gradient():
+    nan_vjp = ad.defop(lambda x: 2.0 * ops.as_tensor(x),
+                       lambda g, out, needs, x: (np.full(x.shape, np.nan),))
+    err = ad.grad_check(lambda x: ad.sum_all(nan_vjp(x)), np.ones((2, 3)))
+    assert not err < GRADCHECK_TOLERANCE
+    # one NaN coordinate, probed first, stays the maximum over exact ones
+    first_nan = ad.defop(lambda x: 2.0 * ops.as_tensor(x),
+                         lambda g, out, needs, x: (np.where(np.arange(x.size) == 0,
+                                                            np.nan, 2.0 * g),))
+    assert np.isnan(ad.grad_check(lambda x: ad.sum_all(first_nan(x)), np.ones(6)))
 
 
 def test_grad_check_input_validation():

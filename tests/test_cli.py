@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import densefocus
+from densefocus import autodiff as ad
 from densefocus import cli
 from densefocus.cli import cli_dispatch
 from densefocus.dafm import dafm_forward, dafm_params, expected_agents
@@ -307,6 +308,29 @@ def test_gradcheck_command(module, capsys):
     out = capsys.readouterr().out
     assert out.startswith("max relative error:")
     assert float(out.split(":")[1]) < GRADCHECK_TOLERANCE
+
+
+def test_gradcheck_command_exits_4_on_a_nan_gradient(monkeypatch, capsys):
+    nan_vjp = ad.defop(lambda x: 2.0 * x, lambda g, out, needs, x: (np.full(x.shape, np.nan),))
+    twice = ad.defop(lambda x: 2.0 * x, lambda g, out, needs, x: (2.0 * g,))
+    cases = [("nan", lambda x: ad.sum_all(nan_vjp(x)), np.ones(3)),
+             ("exact", lambda x: ad.sum_all(twice(x)), np.ones(3))]
+    monkeypatch.setattr(cli.train, "_gradcheck_cases", lambda module, seed: cases)
+    assert run("gradcheck", "--module", "ops") == 4
+    out = capsys.readouterr()
+    assert out.out == "max relative error: nan\n"
+    assert "above tolerance" in out.err
+
+
+@pytest.mark.parametrize("flag", [("--drop", "2"), ("--drop", "-0.5"),
+                                  ("--jitter", "-1"), ("--score-noise", "-0.1")])
+def test_synth_bad_detection_flag_writes_nothing(tmp_path, flag, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 24, "height": 24, "n_clusters": 1}))
+    out = tmp_path / "scene"
+    assert run("synth", "--spec", str(spec), "--out-dir", str(out), *flag) == 2
+    assert "perturb_detections" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_demo_command(tmp_path, capsys):

@@ -12,7 +12,7 @@ from densefocus.dafm import (
     DafmParams, IfamParams, dafm_forward, dafm_params, expected_agents,
     ifam_params, ifam_stage1, ifam_stage2, project_qkv,
 )
-from densefocus.errors import InvalidArgumentError
+from densefocus.errors import InvalidArgumentError, NumericError
 from densefocus.params import seeded_uniform
 from densefocus.regions import refine_mask, threshold_mask
 
@@ -227,6 +227,19 @@ def test_empty_selection_is_exactly_local_branch():
     assert not inter.refined_mask.any()
     assert inter.regions.rectangles == []
     assert inter.bank is None and inter.gathered is None
+
+
+@pytest.mark.parametrize("size", [16, 32], ids=["same-grid", "resized"])
+def test_non_finite_density_raises(size):
+    params = dafm_params(channels=3, embed=3, n_agents=16, seed=6)
+    x = u(6, "da.nf", (3, 16, 16))
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.arange(1.0, size * size + 1.0).reshape(1, size, size)
+        d[0, size - 2, size - 2] = bad  # at 32x32 no tap of the resize to 16x16 reads it
+        with pytest.raises(NumericError, match="non-finite"):
+            dafm_forward(x, d, params, bank_kernel=4)
+    with pytest.raises(NumericError, match="non-finite"):
+        dafm_forward(x, np.full((1, size, size), np.nan), params, bank_kernel=4)
 
 
 def test_agent_count_mismatch_error():

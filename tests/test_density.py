@@ -147,6 +147,12 @@ def test_density_map_validation_and_coercion():
         density_values(ad.Var(np.zeros((1, 3, 3))))
 
 
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 5), (1, 5, 0), (0, 4), (0, 0)])
+def test_density_values_rejects_a_zero_extent(shape):
+    with pytest.raises(InvalidArgumentError, match="zero extent"):
+        density_values(np.zeros(shape))
+
+
 def _refined_bytes(m, tmp_path):
     out, regions = refine_mask(m)
     return out.tobytes(), regions.to_json_dict()

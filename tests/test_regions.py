@@ -6,7 +6,7 @@ import pytest
 from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.density import DensityMap, gt_density
-from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
+from densefocus.errors import InvalidArgumentError, NumericError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
 from densefocus.regions import (
     RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask,
@@ -66,6 +66,24 @@ def test_threshold_validation():
         threshold_mask(d, "median", 0.5)
     with pytest.raises(UnsupportedOperationError):
         threshold_mask(ad.Var(np.zeros((1, 3, 3))), "absolute", 0.1)
+
+
+def non_finite_maps():
+    """One NaN, +inf or -inf pixel in a 16x16 ramp, and an all-NaN map."""
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.arange(1.0, 257.0).reshape(1, 16, 16)
+        d[0, 5, 7] = bad
+        yield d
+    yield np.full((1, 16, 16), np.nan)
+
+
+@pytest.mark.parametrize("mode,value", [("quantile", 0.1), ("absolute", 100.0)])
+def test_threshold_rejects_non_finite_density(mode, value):
+    for d in non_finite_maps():
+        with pytest.raises(NumericError, match="non-finite"):
+            threshold_mask(d, mode, value)
+        with pytest.raises(NumericError, match="non-finite"):
+            threshold_mask(DensityMap(d), mode, value)
 
 
 # ---------------------------------------------------------------------------
