@@ -1,4 +1,4 @@
-"""Command-line surface: argument parsing, file I/O and dispatch.
+"""Command-line surface: argument parsing and dispatch over :mod:`.tensorfile`.
 
 Subcommands: synth, gt-density, calibrate, select-regions, dafm, dffm,
 eval, gradcheck, train-demo.  Exit codes: 0 success, 2 usage error,
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -26,47 +25,13 @@ from .evalkit import ap_report
 from .ops import require_finite
 from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
-from .tensorfile import (load_annotation_file, read_tensor, save_annotation_file,
-                         write_heatmap, write_json, write_tensor)
+from .tensorfile import (load_annotation_file, num_value, range_value, read_json,
+                         read_tensor, real_value, save_annotation_file, write_heatmap,
+                         write_json, write_tensor)
 
 
 def _read_density(path) -> np.ndarray:
     return require_finite(read_tensor(path), f"density {path}", FormatError)
-
-
-def _load_json(path, label: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"{label}: no such file {path}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{label} {path}: invalid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise FormatError(f"{label} {path}: expected a JSON object")
-    return doc
-
-
-def _num_value(key: str, value, integer: bool = True):
-    """A numeric value of a spec/params file; integral floats such as 7.0
-    pass as integers.  Any other value, NaN and infinities included, is a
-    format error."""
-    if not (type(value) is int or (type(value) is float and math.isfinite(value)
-                                   and (value.is_integer() or not integer))):
-        kind = "an integer" if integer else "a finite number"
-        raise FormatError(f"field {key!r} must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _real_value(key: str, value) -> float:
-    return _num_value(key, value, integer=False)
-
-
-def _range_value(key: str, value) -> tuple:
-    """An integer [lo, hi] pair of a spec file."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise FormatError(f"field {key!r} must be a [lo, hi] pair, got {value!r}")
-    return tuple(_num_value(key, v) for v in value)
 
 
 def _set_fields(doc: dict, parsers: dict) -> dict:
@@ -76,7 +41,7 @@ def _set_fields(doc: dict, parsers: dict) -> dict:
 
 
 def _resolve_seed(args, doc: dict) -> int:
-    return args.seed if args.seed is not None else _num_value("seed", doc.get("seed", 0))
+    return args.seed if args.seed is not None else num_value("seed", doc.get("seed", 0))
 
 
 def _seed_override(args) -> dict:
@@ -93,16 +58,16 @@ def _verbose(args, msg: str) -> None:
 # subcommands
 
 def cmd_synth(args) -> int:
-    doc = _load_json(args.spec, "scene spec")
+    doc = read_json(args.spec, "scene spec")
     for key in ("width", "height", "n_clusters"):
         if key not in doc:
             raise FormatError(f"scene spec {args.spec}: missing field {key!r}")
     spec = SceneSpec(
-        **{key: _num_value(key, doc[key]) for key in ("width", "height", "n_clusters")},
-        **_set_fields(doc, {"objects_per_cluster": _range_value,
-                            "object_size": _range_value,
-                            "cluster_spread": _real_value,
-                            "seed": _num_value}) | _seed_override(args))
+        **{key: num_value(key, doc[key]) for key in ("width", "height", "n_clusters")},
+        **_set_fields(doc, {"objects_per_cluster": range_value,
+                            "object_size": range_value,
+                            "cluster_spread": real_value,
+                            "seed": num_value}) | _seed_override(args))
     image, annotations = generate_scene(spec, image_id=args.image_id)
     require_finite(image, "synth image")
     # every draw, and so every flag check, before the first write
@@ -139,9 +104,9 @@ def cmd_gt_density(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    doc = _load_json(args.params, "calibrate params")
+    doc = read_json(args.params, "calibrate params")
     params = calib_params(_resolve_seed(args, doc),
-                          **_set_fields(doc, {"c_mid": _num_value}))
+                          **_set_fields(doc, {"c_mid": num_value}))
     d = _read_density(args.density)
     out = calibrate_density(d, params)
     require_finite(out, "calibrated density")
@@ -164,21 +129,21 @@ def cmd_select_regions(args) -> int:
 
 
 def cmd_dafm(args) -> int:
-    doc = _load_json(args.params, "attention params")
+    doc = read_json(args.params, "attention params")
     seed = _resolve_seed(args, doc)
     x = read_tensor(args.features)
     if x.ndim != 3:
         raise InvalidArgumentError(f"dafm: features must be 3-D, got shape {x.shape}")
     d = _read_density(args.density)
-    bank = _set_fields(doc, {"bank_kernel": _num_value})
+    bank = _set_fields(doc, {"bank_kernel": num_value})
     n_agents = expected_agents(x.shape[1], x.shape[2], **bank)
-    embed = _num_value("embed", doc.get("embed", x.shape[0]))
+    embed = num_value("embed", doc.get("embed", x.shape[0]))
     params = dafm_params(x.shape[0], embed, n_agents, seed,
-                         **_set_fields(doc, {"dw_kernel": _num_value}))
+                         **_set_fields(doc, {"dw_kernel": num_value}))
     out, inter = dafm_forward(
         x, d, params, return_intermediates=True, **bank,
         **_set_fields(doc, {"thresh_mode": lambda key, value: value,
-                            "thresh_value": _real_value}))
+                            "thresh_value": real_value}))
     require_finite(out, "dafm output")
     write_tensor(args.out, out)
     if args.dump_dir:
@@ -195,7 +160,7 @@ def cmd_dafm(args) -> int:
 
 
 def cmd_dffm(args) -> int:
-    doc = _load_json(args.params, "fusion params")
+    doc = read_json(args.params, "fusion params")
     seed = _resolve_seed(args, doc)
     p = read_tensor(args.features)
     if p.ndim != 3:
@@ -206,8 +171,8 @@ def cmd_dffm(args) -> int:
     except ValueError:
         raise InvalidArgumentError(f"dffm: bad --kernels value {args.kernels!r}")
     params = dffm_params(p.shape[0], kernel_set, seed,
-                         **_set_fields(doc, {"ca_reduction": _num_value,
-                                             "sa_kernel": _num_value}))
+                         **_set_fields(doc, {"ca_reduction": num_value,
+                                             "sa_kernel": num_value}))
     out = dffm_forward(p, d, params, kernel_set)
     require_finite(out, "dffm output")
     write_tensor(args.out, out)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidArgumentError
-from .ops import as_tensor
+from .ops import as_tensor, zero_map
 from .params import seeded_uniform
 
 
@@ -100,7 +100,7 @@ def gt_density(annotations: Sequence[BBoxAnnotation], height: int, width: int) -
     """
     if height < 1 or width < 1:
         raise InvalidArgumentError(f"gt_density: bad extent {height}x{width}")
-    out = np.zeros((1, height, width))
+    out = zero_map(height, width, "gt_density")
     skipped = 0
     for ann in annotations:
         cx, cy = float(ann.cx), float(ann.cy)

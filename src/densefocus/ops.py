@@ -85,6 +85,14 @@ def require_finite(x: np.ndarray, label: str, error=NumericError) -> np.ndarray:
     return x
 
 
+def zero_map(height: int, width: int, label: str) -> np.ndarray:
+    """A zero [1,H,W] map; extents numpy cannot allocate raise InvalidArgumentError."""
+    try:
+        return np.zeros((1, height, width))
+    except (ValueError, MemoryError) as exc:
+        raise InvalidArgumentError(f"{label}: cannot allocate {height}x{width} ({exc})") from exc
+
+
 def zero_pad(x: np.ndarray, pad: int) -> np.ndarray:
     """A [C,H,W] map with ``pad`` zero rows and columns on every side."""
     c, h, w = x.shape

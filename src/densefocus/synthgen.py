@@ -15,6 +15,7 @@ import numpy as np
 from .density import BBoxAnnotation
 from .errors import InvalidArgumentError
 from .evalkit import Detection
+from .ops import zero_map
 from .rng import Rng
 
 
@@ -69,7 +70,7 @@ def generate_scene(spec: SceneSpec, image_id: int = 1):
     size_lo, size_hi = spec.object_size
     margin = min(spec.cluster_spread + size_hi, (min(w, h) - 1) / 2.0)
 
-    image = np.zeros((1, h, w))
+    image = zero_map(h, w, "generate_scene")
     annotations: list[BBoxAnnotation] = []
     for _ in range(spec.n_clusters):
         ccx = rng.uniform(margin, w - 1 - margin)

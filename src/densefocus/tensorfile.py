@@ -1,5 +1,6 @@
 """On-disk formats: the binary tensor container, PGM heatmaps, the
-COCO-subset annotation JSON, and the one JSON writer every artifact uses.
+COCO-subset annotation JSON, and the one JSON reader, number rule and JSON
+writer that every input file and artifact go through.
 
 Tensor container layout (all little-endian):
   bytes 0-3   magic "DRMT"
@@ -59,9 +60,7 @@ def read_tensor(path) -> np.ndarray:
         raise FormatError(f"truncated dims at byte {len(blob)}")
     dims = struct.unpack_from("<%dI" % ndim, blob, off) if ndim else ()
     off += 4 * ndim
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if count > (1 << 40):
         raise FormatError(f"dim overflow at byte 7: product {count}")
     expected = 8 * count
@@ -105,13 +104,9 @@ def load_annotation_file(path):
     ingestion and must stay positive-area; entries carrying a score also
     appear in ``detections``.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"annotation file {path}: invalid JSON ({exc})") from exc
+    doc = read_json(path, "annotation file")
     for section in ("images", "annotations", "categories"):
-        if not isinstance(doc, dict) or not isinstance(doc.get(section), list):
+        if not isinstance(doc.get(section), list):
             raise FormatError(f"annotation file {path}: missing list {section!r}")
 
     try:
@@ -119,8 +114,7 @@ def load_annotation_file(path):
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # a missing field, a non-object entry, or a bbox/score that is not
-        # four numbers / one number
+        # a missing field, a non-object entry, or a bbox that is not four values
         raise FormatError(
             f"annotation file {path}: malformed entry ({type(exc).__name__}: {exc})") from exc
 
@@ -128,7 +122,7 @@ def load_annotation_file(path):
 def _parse_annotation_doc(doc):
     images = {}
     for im in doc["images"]:
-        if not all(type(v) in (int, float) and 0 < v < math.inf
+        if not all(0 < number(v, f"image {im['id']}: width and height") < math.inf
                    for v in (im["width"], im["height"])):
             raise FormatError(f"image {im['id']}: width and height must be positive numbers")
         images[im["id"]] = {"width": im["width"], "height": im["height"],
@@ -146,7 +140,7 @@ def _parse_annotation_doc(doc):
         if ann["category_id"] not in category_ids:
             raise FormatError(
                 f"annotation {aid}: dangling category_id {ann['category_id']}")
-        x, y, w, h = (float(v) for v in ann["bbox"])
+        x, y, w, h = (number(v, f"annotation {aid}: bbox value") for v in ann["bbox"])
         if not all(math.isfinite(v) for v in (x, y, w, h)):
             raise FormatError(f"annotation {aid}: non-finite bbox value")
         if w <= 0 or h <= 0:
@@ -157,7 +151,7 @@ def _parse_annotation_doc(doc):
             raise FormatError(f"annotation {aid}: bbox fully outside image")
         score = ann.get("score")
         if score is not None:
-            score = float(score)
+            score = number(score, f"annotation {aid}: score")
             if not math.isfinite(score):
                 raise FormatError(f"annotation {aid}: non-finite score")
         annotations.append(BBoxAnnotation.from_xywh(
@@ -173,16 +167,11 @@ def save_annotation_file(path, images: dict, annotations) -> None:
     ann_records = []
     cats = set()
     for i, a in enumerate(annotations, start=1):
-        if isinstance(a, Detection):
-            x, y, w, h = a.bbox
-            rec = {"id": i, "image_id": a.image_id, "category_id": a.category_id,
-                   "bbox": [x, y, w, h], "score": a.score}
-        else:
-            x, y, w, h = a.to_xywh()
-            rec = {"id": i, "image_id": a.image_id, "category_id": a.category_id,
-                   "bbox": [x, y, w, h]}
-            if a.score is not None:
-                rec["score"] = a.score
+        box = a.bbox if isinstance(a, Detection) else a.to_xywh()
+        rec = {"id": i, "image_id": a.image_id, "category_id": a.category_id,
+               "bbox": list(box)}
+        if a.score is not None:
+            rec["score"] = a.score
         cats.add(rec["category_id"])
         ann_records.append(rec)
     doc = {
@@ -200,3 +189,49 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
+
+
+def read_json(path, label: str) -> dict:
+    """The one JSON reader: ``path`` must hold a UTF-8 JSON object.  Other bytes,
+    bad syntax, nesting too deep to parse, an integer past Python's digit
+    limit or a non-object is a FormatError; an unopenable file, an OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{label} {path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{label} {path}: expected a JSON object")
+    return doc
+
+
+def number(value, what: str) -> float:
+    """The number rule of every input file: an int or a float, never a bool or
+    a string, read as a float; an int past float range reads as an infinity."""
+    if type(value) not in (int, float):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def num_value(key: str, value, integer: bool = True):
+    """A numeric field of a spec or params file: a finite number, integral
+    if ``integer`` (7.0 passes as 7); anything else is a FormatError."""
+    real = number(value, f"field {key!r}")
+    if not math.isfinite(real) or (integer and not real.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise FormatError(f"field {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else real
+
+
+def real_value(key: str, value) -> float:
+    return num_value(key, value, integer=False)
+
+
+def range_value(key: str, value) -> tuple:
+    """An integer [lo, hi] pair of a spec file."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise FormatError(f"field {key!r} must be a [lo, hi] pair, got {value!r}")
+    return tuple(num_value(key, v) for v in value)

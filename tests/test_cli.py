@@ -25,6 +25,7 @@ from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
 from densefocus.tensorfile import (load_annotation_file, read_tensor,
                                    save_annotation_file, write_tensor)
 from densefocus.train import GRADCHECK_TOLERANCE, train_demo
+from test_io import HOSTILE_JSON
 
 
 def run(*argv):
@@ -440,3 +441,75 @@ def test_non_finite_density_exits_3(tmp_path, capsys, command, bad):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "synth" in capsys.readouterr().out
+
+
+def json_input_argv(command, path, tmp_path, scene_dir):
+    """``command``'s argv with ``path`` as its JSON input and valid other inputs."""
+    feats, density = tmp_path / "x.drmt", tmp_path / "d.drmt"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
+    out = str(tmp_path / "out")
+    return {
+        "synth": ["synth", "--spec", path, "--out-dir", out],
+        "gt-density": ["gt-density", "--annotations", path, "--out", out],
+        "eval-gt": ["eval", "--gt", path, "--dets", str(scene_dir / "detections.json"),
+                    "--csv", out],
+        "eval-dets": ["eval", "--gt", str(scene_dir / "annotations.json"), "--dets", path,
+                      "--csv", out],
+        "calibrate": ["calibrate", "--params", path, "--density", str(density), "--out", out],
+        "dafm": ["dafm", "--params", path, "--features", str(feats), "--density", str(density),
+                 "--out", out],
+        "dffm": ["dffm", "--params", path, "--features", str(feats), "--density", str(density),
+                 "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("command", ["synth", "gt-density", "eval-gt", "eval-dets",
+                                     "calibrate", "dafm", "dffm"])
+def test_unreadable_json_input_exits_3(tmp_path, scene_dir, command, name, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(HOSTILE_JSON[name])
+    assert run(*json_input_argv(command, str(bad), tmp_path, scene_dir)) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"bbox": ["1", "1", "3", "3"]}, {"score": "0.9"}, {"score": False},
+    {"bbox": [1, True, 3, 3]},
+], ids=["numeric-string-bbox", "numeric-string-score", "false-score", "bool-in-bbox"])
+def test_annotation_numbers_that_are_not_json_numbers_exit_3(tmp_path, scene_dir, change,
+                                                             capsys):
+    for role in ("eval-gt", "eval-dets"):
+        doc = json.loads((scene_dir / "detections.json").read_text())
+        doc["annotations"][0].update(change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(*json_input_argv(role, str(bad), tmp_path, scene_dir)) == 3
+        assert "must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_extents_numpy_cannot_allocate_exit_2(tmp_path, capsys):
+    """Extents of at least 2**32 per side, which numpy refuses before it
+    allocates anything, exit 2; a width past float range is malformed (3)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 10 ** 12, "height": 10 ** 12, "n_clusters": 1}))
+    out = tmp_path / "scene"
+    assert run("synth", "--spec", str(spec), "--out-dir", str(out)) == 2
+    assert "generate_scene: cannot allocate" in capsys.readouterr().err
+    assert not out.exists()
+    ann = tmp_path / "ann.json"
+    ann.write_text(json.dumps({
+        "images": [{"id": 1, "width": 1e300, "height": 1e300}],
+        "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 3, 3]}],
+        "categories": [{"id": 1}]}))
+    density = tmp_path / "d.drmt"
+    assert run("gt-density", "--annotations", str(ann), "--out", str(density),
+               "--heatmap", str(tmp_path / "d.pgm")) == 2
+    assert "gt_density: cannot allocate" in capsys.readouterr().err
+    assert not density.exists() and not (tmp_path / "d.pgm").exists()
+    spec.write_text(json.dumps({"width": 10 ** 400, "height": 32, "n_clusters": 1}))
+    assert run("synth", "--spec", str(spec), "--out-dir", str(out)) == 3
+    assert not out.exists()

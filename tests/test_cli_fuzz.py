@@ -1,5 +1,6 @@
-"""Seeded fuzzing of the file-reading commands: every input ends in a
-documented exit code (0, 2, 3 or 4), never a Python traceback."""
+"""Seeded fuzzing of the file-reading commands and the flags of the
+file-free ones: every input ends in a documented exit code (0, 2, 3 or 4),
+never a Python traceback."""
 
 import json
 import time
@@ -9,6 +10,7 @@ import numpy as np
 from densefocus.cli import cli_dispatch
 from densefocus.rng import Rng
 from densefocus.tensorfile import write_tensor
+from test_io import HOSTILE_JSON
 
 CASES = 300
 TIME_BUDGET_S = 10.0
@@ -118,3 +120,139 @@ def test_fuzzed_commands_end_in_a_documented_exit_code(tmp_path, capsys):
     assert time.perf_counter() - start < TIME_BUDGET_S
     # the generator reaches success and every error class
     assert set(codes) == {0, 2, 3, 4}, codes
+
+
+# whole files that are not a UTF-8 JSON object: non-UTF-8 bytes, 100,000
+# nested "[", a 5,000-digit integer and a top-level array
+HOSTILE_FILES = tuple(HOSTILE_JSON.values()) + (b"[1, 2]",)
+# values that break a number field: numeric strings, bools, NaN and Infinity
+# (written as those JSON literals) among them.  None is a positive integer, so
+# an odd extent never pairs a small side with an impossible one, which numpy
+# would try to allocate
+ODD_NUMBERS = (0, -1, 2.5, "7", "0.5", "x", None, True, False, [7],
+               float("nan"), float("inf"), -float("inf"))
+# small extents, and pairs of at least 2**32 per side, which numpy refuses
+# before it allocates anything
+SPEC_EXTENTS = ((16, 16), (32, 24), (64, 64), (5, 64), (10 ** 12, 10 ** 12),
+                (2 ** 32, 2 ** 32))
+ANN_EXTENTS = ((16, 16), (64, 48), (1e300, 1e300))
+
+
+def odd_or(rng, valid, p_odd=0.3):
+    return pick(rng, ODD_NUMBERS) if rng.random() < p_odd else valid
+
+
+def fuzz_spec(rng):
+    """A scene spec with extents up to 64 or impossible, up to 8 clusters,
+    and odd values in any numeric field."""
+    width, height = pick(rng, SPEC_EXTENTS)
+    doc = {"width": odd_or(rng, width, 0.1), "height": odd_or(rng, height, 0.1),
+           "n_clusters": odd_or(rng, rng.randint(0, 8), 0.1)}
+    optional = {"objects_per_cluster": [odd_or(rng, 2, 0.15), odd_or(rng, 6, 0.15)],
+                "object_size": [odd_or(rng, 2, 0.15), odd_or(rng, 4, 0.15)],
+                "cluster_spread": odd_or(rng, 4.0), "seed": odd_or(rng, 5)}
+    for key, value in optional.items():
+        if rng.random() < 0.4:
+            doc[key] = value
+    return doc
+
+
+def fuzz_annotation_doc(rng, scored, p_odd):
+    """An annotation document whose boxes lie inside its image; with
+    probability ``p_odd`` one extent, bbox value or score is an odd value."""
+    width, height = pick(rng, ANN_EXTENTS)
+    anns = []
+    for i in range(rng.randint(0, 6)):
+        ann = {"id": i + 1, "image_id": 1, "category_id": 1,
+               "bbox": [rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0),
+                        rng.uniform(1.0, 6.0), rng.uniform(1.0, 6.0)]}
+        if scored:
+            ann["score"] = rng.random()
+        anns.append(ann)
+    image = {"id": 1, "width": width, "height": height}
+    if rng.random() < p_odd:
+        if anns and rng.random() < 0.8:
+            ann = pick(rng, anns)
+            if scored and rng.random() < 0.4:
+                ann["score"] = pick(rng, ODD_NUMBERS)
+            else:
+                ann["bbox"][rng.randint(0, 3)] = pick(rng, ODD_NUMBERS)
+        else:
+            image[pick(rng, ("width", "height"))] = pick(rng, ODD_NUMBERS)
+    return {"images": [image], "annotations": anns, "categories": [{"id": 1}]}
+
+
+def json_bytes(rng, doc):
+    """``doc`` as JSON, or in some cases a hostile file in its place."""
+    return pick(rng, HOSTILE_FILES) if rng.random() < 0.15 else json.dumps(doc).encode()
+
+
+def fuzz_json_input(rng, tmp_path, case):
+    """(the fuzzed input's role, argv) for a synth spec or one file of an
+    eval pair; the other file of a pair is valid."""
+    out = str(tmp_path / f"out{case}")
+    role = pick(rng, ("synth spec", "eval gt", "eval dets"))
+    if role == "synth spec":
+        spec = tmp_path / f"spec{case}.json"
+        spec.write_bytes(json_bytes(rng, fuzz_spec(rng)))
+        return role, ["synth", "--spec", str(spec), "--out-dir", out]
+    paths = {}
+    for name in ("gt", "dets"):
+        fuzzed = role == f"eval {name}"
+        doc = fuzz_annotation_doc(rng, scored=name == "dets", p_odd=0.5 if fuzzed else 0.0)
+        paths[name] = tmp_path / f"{name}{case}.json"
+        paths[name].write_bytes(json_bytes(rng, doc) if fuzzed else json.dumps(doc).encode())
+    return role, ["eval", "--gt", str(paths["gt"]), "--dets", str(paths["dets"]),
+                  "--csv", out]
+
+
+def test_fuzzed_spec_and_annotation_files_end_in_a_documented_exit_code(tmp_path, capsys):
+    rng = Rng(20261020)
+    start = time.perf_counter()
+    codes = {}
+    for case in range(CASES):
+        role, argv = fuzz_json_input(rng, tmp_path, case)
+        code = cli_dispatch(argv)
+        assert code in (0, 2, 3, 4), argv
+        codes.setdefault(role, set()).add(code)
+        capsys.readouterr()
+    assert time.perf_counter() - start < TIME_BUDGET_S
+    # every JSON input reaches success and the format error; impossible
+    # extents reach the usage error
+    assert all({0, 3} <= codes[role] for role in ("synth spec", "eval gt", "eval dets")), codes
+    assert 2 in codes["synth spec"], codes
+
+
+FLAG_CASES = 40
+
+
+def fuzz_flags(rng, tmp_path, case):
+    """train-demo with at most one step, or gradcheck of ops, density or an
+    unknown module, under odd flag values."""
+    argv = ["--seed", pick(rng, ("0", "1", "-1", "x", str(2 ** 64)))] if rng.random() < 0.3 else []
+    if rng.random() < 0.5:
+        argv += ["gradcheck", "--module", pick(rng, ("ops", "density", "no-such-module"))]
+    else:
+        argv += ["train-demo", "--steps", pick(rng, ("0", "1", "-1", "1.5", "x")),
+                 "--lr", pick(rng, ("0.05", "0", "-1", "nan", "inf", "1e308", "x"))]
+        if rng.random() < 0.5:
+            argv += ["--trace", str(tmp_path / f"trace{case}.csv")]
+    if rng.random() < 0.1:
+        argv.append("--no-such-flag")
+    return argv
+
+
+def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, capsys):
+    rng = Rng(20261021)
+    start = time.perf_counter()
+    codes = {}
+    with np.errstate(all="ignore"):
+        for case in range(FLAG_CASES):
+            argv = fuzz_flags(rng, tmp_path, case)
+            code = cli_dispatch(argv)
+            assert code in (0, 2, 3, 4), argv
+            command = "train-demo" if "train-demo" in argv else "gradcheck"
+            codes.setdefault(command, set()).add(code)
+            capsys.readouterr()
+    assert time.perf_counter() - start < TIME_BUDGET_S
+    assert {0, 2} <= codes["train-demo"] and {0, 2} <= codes["gradcheck"], codes

@@ -41,6 +41,13 @@ def test_empty_annotations_give_zero_map():
     assert d.mass() == 0.0
 
 
+def test_extents_numpy_cannot_allocate_raise_invalid_argument():
+    # at least 2**32 per side: numpy refuses the shape before allocating
+    for side in (2 ** 32, int(1e300)):
+        with pytest.raises(InvalidArgumentError, match="gt_density: cannot allocate"):
+            gt_density([], side, side)
+
+
 @pytest.mark.parametrize("cx,cy,bw,bh", [
     (10.0, 12.0, 3, 4),
     (10.3, 12.7, 2, 2),

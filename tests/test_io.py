@@ -1,4 +1,5 @@
-"""File formats: the binary tensor container, PGM heatmaps, annotation JSON."""
+"""File formats: the binary tensor container, PGM heatmaps, annotation JSON,
+the JSON reader and the number rule of input files."""
 
 import json
 
@@ -10,8 +11,8 @@ from densefocus.errors import FormatError, InvalidArgumentError, NumericError
 from densefocus.evalkit import Detection
 from densefocus.params import seeded_uniform
 from densefocus.tensorfile import (
-    load_annotation_file, read_tensor, save_annotation_file, write_heatmap,
-    write_tensor,
+    load_annotation_file, num_value, number, read_json, read_tensor,
+    save_annotation_file, write_heatmap, write_tensor,
 )
 
 
@@ -243,3 +244,84 @@ def without(record, key):
 def test_load_malformed_entries_are_format_errors(tmp_path, doc):
     with pytest.raises(FormatError):
         load_annotation_file(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("bbox,score", [
+    (["1", "1", "3", "3"], None),
+    ([1, True, 3, 3], None),
+    ([1.0, 2.0, 3.0, 4.0], "0.9"),
+    ([1.0, 2.0, 3.0, 4.0], False),
+], ids=["numeric-string-bbox", "bool-in-bbox", "numeric-string-score", "false-score"])
+def test_load_annotation_numbers_must_be_json_numbers(tmp_path, bbox, score):
+    ann = good_ann(bbox=bbox) if score is None else good_ann(score=score)
+    with pytest.raises(FormatError, match="annotation 3: .* must be a number"):
+        load_annotation_file(write_doc(tmp_path, doc_with([ann])))
+
+
+def test_load_annotation_int_past_float_range_is_non_finite(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc_with([good_ann(bbox=[10 ** 400, 2, 3, 4])])))
+    with pytest.raises(FormatError, match="annotation 3: non-finite bbox"):
+        load_annotation_file(path)
+
+
+def test_load_annotation_keeps_int_extents_and_reads_int_boxes_as_floats(tmp_path):
+    images, anns, dets = load_annotation_file(write_doc(tmp_path, doc_with(
+        [good_ann(bbox=[1, 2, 3, 4], score=1)])))
+    assert images[1] == {"width": 64, "height": 48, "file_name": ""}
+    assert type(images[1]["width"]) is int
+    assert anns[0].to_xywh() == (1.0, 2.0, 3.0, 4.0)
+    assert dets == [Detection(1, 1, (1.0, 2.0, 3.0, 4.0), 1.0)]
+    assert type(dets[0].score) is float
+
+
+# ---------------------------------------------------------------------------
+# the JSON reader and the number rule
+
+HOSTILE_JSON = {
+    "non-utf8": b'{"seed": "\xff\xfe"}',
+    "deep-array": b"[" * 100_000,
+    "5000-digit-int": b'{"seed": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+def test_read_json_turns_unreadable_documents_into_format_errors(tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_bytes(HOSTILE_JSON[name])
+    with pytest.raises(FormatError, match=r"params .*doc\.json: invalid JSON"):
+        read_json(path, "params")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load_annotation_file(path)
+
+
+def test_read_json_wants_an_object(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('[1, 2]')
+    with pytest.raises(FormatError, match="expected a JSON object"):
+        read_json(path, "params")
+    path.write_text('{"a": [1, 2.5, "x", NaN]}')
+    doc = read_json(path, "params")
+    assert doc["a"][:3] == [1, 2.5, "x"] and doc["a"][3] != doc["a"][3]
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "missing.json", "params")
+
+
+def test_number_rule():
+    assert number(3, "x") == 3.0 and type(number(3, "x")) is float
+    assert number(-2.5, "x") == -2.5
+    assert number(10 ** 400, "x") == float("inf")
+    assert number(-10 ** 400, "x") == -float("inf")
+    for bad in (True, False, "1", None, [1], {"a": 1}):
+        with pytest.raises(FormatError, match="x must be a number"):
+            number(bad, "x")
+
+
+def test_num_value_integers_and_reals():
+    assert num_value("k", 7.0) == 7 and type(num_value("k", 7.0)) is int
+    assert num_value("k", 2 ** 63 + 1) == 2 ** 63 + 1      # exact, not through a float
+    assert num_value("k", 2, integer=False) == 2.0
+    for bad, integer in ((2.5, True), (True, True), ("3", True), (float("nan"), False),
+                         (float("inf"), False), (10 ** 400, True), ("0.5", False)):
+        with pytest.raises(FormatError, match="field 'k' must be"):
+            num_value("k", bad, integer=integer)

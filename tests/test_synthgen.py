@@ -40,6 +40,13 @@ def test_scene_spec_validation():
         SceneSpec(16, 16, 1, object_size=(4, 16))  # cannot fit
 
 
+def test_extents_numpy_cannot_allocate_raise_invalid_argument():
+    # at least 2**32 per side: numpy refuses the shape before allocating
+    for side in (2 ** 32, 10 ** 12):
+        with pytest.raises(InvalidArgumentError, match="generate_scene: cannot allocate"):
+            generate_scene(SceneSpec(side, side, 0))
+
+
 def test_determinism_and_seed_sensitivity():
     spec = SceneSpec(64, 64, 2, (3, 6), (3, 8), 7.0, seed=4)
     img_a, anns_a = generate_scene(spec)
