@@ -26,8 +26,8 @@ from .ops import require_finite
 from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, num_value, range_value, read_json,
-                         read_tensor, real_value, save_annotation_file, write_heatmap,
-                         write_json, write_tensor)
+                         read_tensor, real_value, save_annotation_file, seed_value,
+                         write_heatmap, write_json, write_tensor)
 
 
 def _read_density(path) -> np.ndarray:
@@ -41,7 +41,16 @@ def _set_fields(doc: dict, parsers: dict) -> dict:
 
 
 def _resolve_seed(args, doc: dict) -> int:
-    return args.seed if args.seed is not None else num_value("seed", doc.get("seed", 0))
+    return args.seed if args.seed is not None else seed_value("seed", doc.get("seed", 0))
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed``: an integer under the seed-field rule; a usage error otherwise."""
+    try:
+        return seed_value("--seed", int(text))
+    except (ValueError, FormatError):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}") from None
 
 
 def _seed_override(args) -> dict:
@@ -67,7 +76,7 @@ def cmd_synth(args) -> int:
         **_set_fields(doc, {"objects_per_cluster": range_value,
                             "object_size": range_value,
                             "cluster_spread": real_value,
-                            "seed": num_value}) | _seed_override(args))
+                            "seed": seed_value}) | _seed_override(args))
     image, annotations = generate_scene(spec, image_id=args.image_id)
     require_finite(image, "synth image")
     # every draw, and so every flag check, before the first write
@@ -227,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densefocus",
         description="Density-guided tiny-object pipeline tools")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the seed from spec/params files")
+    parser.add_argument("--seed", type=_seed_arg, default=None,
+                        help="override the seed from spec/params files; "
+                             "an integer in [0, 2**64)")
     parser.add_argument("--verbose", action="store_true",
                         help="progress diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,20 +10,24 @@ detections matched to ignored ground truth are dropped, and unmatched
 detections outside the bucket's area range are dropped rather than counted
 as false positives.
 
-ap_report computes each (image, category) group's detection x ground-truth
-IoU matrix once, with numpy, and all 14 matching passes (10 IoU thresholds,
-4 size buckets) share it; only the walk over score-ordered detections,
-where each match depends on the ones before it, stays a Python loop.  The
-matrix applies the scalar formula elementwise in the same order, so every
-IoU is bit-identical to a one-pair evaluation.  Boxes must be finite:
-Detection and BBoxAnnotation reject NaN and infinite coordinates.
+ap_report decides all 14 lanes (10 IoU thresholds, 4 size buckets at IoU
+0.50) in one walk per (image, category) group: each score-ordered
+detection visits its candidate ground truths once, highest IoU first, and
+every ground truth holds a bitmask of the lanes it is taken in.  Candidates
+are the ground truths at or above the smallest threshold; IoU is computed
+with numpy a block of detection rows at a time and only candidates are
+kept, so memory stays bounded whatever the group size.  The IoU formula
+runs elementwise in the same order as a one-pair evaluation, so every IoU
+is bit-identical to it.  match_detections is the same walk with one lane.
+Boxes must be finite: Detection and BBoxAnnotation reject NaN and infinite
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +44,7 @@ SIZE_BUCKETS = (
 
 IOU_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
-_IOU_BLOCK = 2048  # IoU entries per block of rows: 16 KB per float64 temporary
+_IOU_BLOCK = 8192  # IoU entries per row block: 64 KB float64 temporaries keep peak RSS flat
 
 
 @dataclass
@@ -85,28 +89,24 @@ class APReport:
         return asdict(self)
 
 
+def _boxes(boxes) -> np.ndarray:
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+
+
 def _iou_matrix(det_boxes, gt_boxes) -> np.ndarray:
     """D x G IoU between two lists of (x, y, w, h) boxes.
 
     Each entry goes through the same float64 operations, in the same order,
     as a one-pair evaluation, so it rounds identically whatever D and G are.
-    Rows are filled in blocks of about _IOU_BLOCK entries, which bounds the
-    temporaries whatever the group size.
     """
-    a = np.asarray(det_boxes, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    bx, by, bw, bh = b.T
-    out = np.empty((len(a), len(b)))
-    rows = max(1, _IOU_BLOCK // max(1, len(b)))
-    for r in range(0, len(a), rows):
-        ax, ay, aw, ah = a[r:r + rows].T[..., None]
-        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-        disjoint = (ix <= 0) | (iy <= 0)
-        inter = np.where(disjoint, 0.0, ix * iy)
-        block = inter / (aw * ah + bw * bh - inter)
-        block[disjoint] = 0.0
-        out[r:r + rows] = block
+    ax, ay, aw, ah = _boxes(det_boxes).T[..., None]
+    bx, by, bw, bh = _boxes(gt_boxes).T
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    disjoint = (ix <= 0) | (iy <= 0)
+    inter = np.where(disjoint, 0.0, ix * iy)
+    out = inter / (aw * ah + bw * bh - inter)
+    out[disjoint] = 0.0
     return out
 
 
@@ -120,47 +120,10 @@ def iou(a, b) -> float:
     return float(_iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
-class _Group(NamedTuple):
-    """One (image, category): capped score-ordered detections, their IoU
-    matrix against the group's ground truth, and both sides' box areas."""
-    category: int
-    det_idx: list
-    gt_idx: list
-    ious: np.ndarray      # D x G, rows in score order
-    det_area: np.ndarray  # D
-    gt_area: np.ndarray   # G
-
-
-def _match_group(ious, thresh, gt_ignore, det_keep):
-    """Greedy matcher over one group's IoU matrix, rows in score order.
-
-    Each detection takes the free ground truth with the highest IoU at or
-    above thresh, the earliest on ties; ignored ground truth is offered
-    only when no real one qualifies.  Returns (flags, gt_matched): flags[i]
-    is True (TP), False (FP), or None (excluded from evaluation).
-    """
-    taken = np.zeros(ious.shape[1])  # -inf once matched; x + 0.0 == x exactly
-    tiers = [(flag, cols) for flag, cols in ((True, np.flatnonzero(~gt_ignore)),
-                                             (None, np.flatnonzero(gt_ignore)))
-             if len(cols)]
-    flags = []
-    for row, keep in zip(ious, det_keep):
-        free = row + taken
-        for flag, cols in tiers:
-            cand = free[cols]
-            j = int(cand.argmax())
-            if cand[j] >= thresh:
-                taken[cols[j]] = -np.inf
-                flags.append(flag)
-                break
-        else:
-            flags.append(False if keep else None)
-    return flags, taken < 0
-
-
-def _grouped(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
-             max_dets: int, categories=None) -> list:
-    """One _Group per (image, category), in key order."""
+def _groups(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
+            max_dets: int, categories=None):
+    """(category, det_idx, gt_idx) per (image, category), in key order;
+    det_idx is in score order (ties by input order) and capped at max_dets."""
     index: dict = {}
     for gi, g in enumerate(gts):
         index.setdefault((g.image_id, g.category_id), ([], []))[1].append(gi)
@@ -168,20 +131,69 @@ def _grouped(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
         if categories is not None and d.category_id not in categories:
             continue
         index.setdefault((d.image_id, d.category_id), ([], []))[0].append(di)
-    groups = []
     for key in sorted(index):
         det_idx, gt_idx = index[key]
         det_idx.sort(key=lambda i: -dets[i].score)  # stable: ties keep input order
-        del det_idx[max_dets:]
-        det_boxes = np.array([dets[i].bbox for i in det_idx],
-                             dtype=np.float64).reshape(-1, 4)
-        gt_boxes = np.array([gts[i].to_xywh() for i in gt_idx],
-                            dtype=np.float64).reshape(-1, 4)
-        groups.append(_Group(key[1], det_idx, gt_idx,
-                             _iou_matrix(det_boxes, gt_boxes),
-                             det_boxes[:, 2] * det_boxes[:, 3],
-                             gt_boxes[:, 2] * gt_boxes[:, 3]))
-    return groups
+        yield key[1], det_idx[:max_dets], gt_idx
+
+
+def _candidates(det_boxes, gt_boxes, lane_thr):
+    """Per detection row, its candidate ground truths as (column, mask of
+    the lanes whose threshold the IoU meets) pairs, sorted by (-IoU, column).
+    A ground truth below the smallest threshold is pruned: it can match in
+    no lane, and in that order it would end a lane's search only after every
+    qualifying candidate; so is a NaN IoU, which only boxes whose areas
+    under- or overflow float64 give.  IoU runs a block of rows at a time."""
+    lo, bits = lane_thr.min(), 1 << np.arange(len(lane_thr))
+    rows = max(1, _IOU_BLOCK // max(1, len(gt_boxes)))
+    for r0 in range(0, len(det_boxes), rows):
+        block = _iou_matrix(det_boxes[r0:r0 + rows], gt_boxes)
+        r, c = np.nonzero(block >= lo)
+        v = block[r, c]
+        order = np.lexsort((-v, r))
+        pairs = list(zip(c[order].tolist(), ((v[order, None] >= lane_thr) @ bits).tolist()))
+        start = 0
+        for end in np.cumsum(np.bincount(r, minlength=len(block))).tolist():
+            yield pairs[start:end]
+            start = end
+
+
+def _tier(cands, seek, taken, tier):
+    """Each lane in seek takes the first of cands that is in its tier
+    (tier[j]: the lanes where ground truth j is) and free there (taken[j]:
+    the lanes where it is matched) if its IoU meets the lane's threshold,
+    and misses otherwise.  Returns the lanes that took one."""
+    hits = 0
+    for j, meets in cands:
+        free = seek & tier[j] & ~taken[j]
+        if free:
+            taken[j] |= free & meets
+            hits |= free & meets
+            seek &= ~free
+            if not seek:
+                break
+    return hits
+
+
+def _walk(det_boxes, gt_boxes, lane_thr, gt_ignore, det_drop):
+    """Greedy matching of one group's score-ordered detections in every lane
+    at once.  Lane k has threshold lane_thr[k]; bit k of gt_ignore[j] and of
+    det_drop[i] ignores ground truth j and drops detection i there.  In each
+    lane a detection takes the free real ground truth of highest IoU (the
+    earliest on ties) if it meets the threshold, else such an ignored one,
+    which excludes the detection; unmatched, it is an FP unless dropped.
+    Returns per detection the lanes where it is a TP and where it is a TP
+    or FP, and per ground truth the lanes where it is matched."""
+    lanes = (1 << len(lane_thr)) - 1
+    real, ignored = (lanes & ~gt_ignore).tolist(), gt_ignore.tolist()
+    taken = [0] * len(gt_boxes)
+    tp, counted = [], []
+    for cands, drop in zip(_candidates(det_boxes, gt_boxes, lane_thr), det_drop):
+        hits = _tier(cands, lanes, taken, real)
+        excluded = _tier(cands, lanes & ~hits, taken, ignored)
+        tp.append(hits)
+        counted.append(hits | (lanes & ~hits & ~excluded & ~drop))
+    return tp, counted, taken
 
 
 def match_detections(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
@@ -196,16 +208,16 @@ def match_detections(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
         raise InvalidArgumentError(f"match_detections: bad iou threshold {iou_thresh}")
     if max_dets < 0:
         raise InvalidArgumentError(f"match_detections: bad max_dets {max_dets}")
+    det_boxes, gt_boxes = _boxes([d.bbox for d in dets]), _boxes([g.to_xywh() for g in gts])
     det_flags: list = [None] * len(dets)
     gt_matched = [False] * len(gts)
-    for g in _grouped(dets, gts, max_dets):
-        flags, matched = _match_group(
-            g.ious, iou_thresh, np.zeros(len(g.gt_idx), dtype=bool),
-            np.ones(len(g.det_idx), dtype=bool))
-        for i, fl in zip(g.det_idx, flags):
-            det_flags[i] = fl
-        for i, m in zip(g.gt_idx, matched):
-            gt_matched[i] = bool(m)
+    for _, det_idx, gt_idx in _groups(dets, gts, max_dets):
+        tp, _, taken = _walk(det_boxes[det_idx], gt_boxes[gt_idx], np.array([iou_thresh]),
+                             np.zeros(len(gt_idx), dtype=np.int64), [0] * len(det_idx))
+        for i, hit in zip(det_idx, tp):
+            det_flags[i] = bool(hit)
+        for i, hit in zip(gt_idx, taken):
+            gt_matched[i] = bool(hit)
     return det_flags, gt_matched
 
 
@@ -223,39 +235,12 @@ def average_precision(flags, total_gt: int) -> float:
     return float(np.cumsum(precision[hits[hits < kept.size]])[-1]) / 101.0
 
 
-def _ap_at(dets, groups, categories, thresh, bucket=None):
-    """Mean AP over categories at one IoU threshold, optionally restricted
-    to a gt-area bucket.  Returns (mean_ap_or_sentinel, tp, fp, total_gt)."""
-    per_cat = []
-    tot_tp = tot_fp = tot_gt = 0
-    for cat in categories:
-        entries = []
-        n_gt = 0
-        for g in groups:
-            if g.category != cat:
-                continue
-            if bucket is None:
-                gt_ignore = np.zeros(len(g.gt_idx), dtype=bool)
-                det_keep = np.ones(len(g.det_idx), dtype=bool)
-            else:
-                lo, hi = bucket
-                gt_ignore = ~((lo <= g.gt_area) & (g.gt_area < hi))
-                det_keep = (lo <= g.det_area) & (g.det_area < hi)
-            n_gt += len(gt_ignore) - int(gt_ignore.sum())
-            flags, _ = _match_group(g.ious, thresh, gt_ignore, det_keep)
-            entries += [(-dets[i].score, i, fl)
-                        for i, fl in zip(g.det_idx, flags) if fl is not None]
-        if n_gt == 0:
-            continue
-        entries.sort(key=lambda e: (e[0], e[1]))
-        flag_seq = [e[2] for e in entries]
-        per_cat.append(average_precision(flag_seq, n_gt))
-        tot_tp += sum(1 for f in flag_seq if f)
-        tot_fp += sum(1 for f in flag_seq if not f)
-        tot_gt += n_gt
-    if not per_cat:
-        return -1.0, tot_tp, tot_fp, tot_gt
-    return sum(per_cat) / len(per_cat), tot_tp, tot_fp, tot_gt
+def _out_of_bucket(boxes: np.ndarray) -> np.ndarray:
+    """Per box, the size-bucket lanes (10 + bucket index) whose area range
+    does not hold its area."""
+    area = boxes[:, 2] * boxes[:, 3]
+    return sum((~((lo <= area) & (area < hi))).astype(np.int64) << (len(IOU_THRESHOLDS) + b)
+               for b, (_, lo, hi) in enumerate(SIZE_BUCKETS))
 
 
 def ap_report(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
@@ -265,22 +250,35 @@ def ap_report(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
     if max_dets < 0:
         raise InvalidArgumentError(f"ap_report: bad max_dets {max_dets}")
     if not gts:
-        n_fp = sum(len(g.det_idx) for g in _grouped(dets, [], max_dets))
+        n_fp = sum(len(det_idx) for _, det_idx, _ in _groups(dets, [], max_dets))
         return APReport(-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 0, n_fp, 0)
     categories = sorted({g.category_id for g in gts})
-    groups = _grouped(dets, gts, max_dets, categories=set(categories))
+    det_boxes, gt_boxes = _boxes([d.bbox for d in dets]), _boxes([g.to_xywh() for g in gts])
+    # lanes 0-9 are the IoU thresholds; lanes 10-13 the size buckets at IoU 0.50,
+    # where out-of-bucket ground truth is ignored and out-of-bucket detections dropped
+    lane_thr = np.array(IOU_THRESHOLDS + (0.5,) * len(SIZE_BUCKETS))
+    gt_ignore, det_drop = _out_of_bucket(gt_boxes), _out_of_bucket(det_boxes)
+    walked: dict = {cat: [] for cat in categories}   # (-score, det index, tp, counted)
+    for cat, det_idx, gt_idx in _groups(dets, gts, max_dets, categories=set(categories)):
+        tp, counted, _ = _walk(det_boxes[det_idx], gt_boxes[gt_idx], lane_thr,
+                               gt_ignore[gt_idx], det_drop[det_idx].tolist())
+        walked[cat] += zip([-dets[i].score for i in det_idx], det_idx, tp, counted)
 
-    by_thresh = {}
-    for t in IOU_THRESHOLDS:
-        by_thresh[t] = _ap_at(dets, groups, categories, t)
-    ap = sum(v[0] for v in by_thresh.values()) / len(IOU_THRESHOLDS)
-    ap50, tp, fp, n_gt = by_thresh[IOU_THRESHOLDS[0]]
-    ap75 = by_thresh[IOU_THRESHOLDS[5]][0]
-
-    bucket_aps = {}
-    for name, lo, hi in SIZE_BUCKETS:
-        bucket_aps[name], _, _, _ = _ap_at(dets, groups, categories, 0.5,
-                                           bucket=(lo, hi))
-    return APReport(ap, ap50, ap75,
-                    bucket_aps["vt"], bucket_aps["t"], bucket_aps["s"],
-                    bucket_aps["m"], tp, fp, n_gt - tp)
+    gt_cat = np.array([g.category_id for g in gts])
+    lane_aps: list = [[] for _ in lane_thr]
+    tp_50 = fp_50 = n_gt_50 = 0
+    for cat in categories:
+        tp, counted = np.array([w[2:] for w in sorted(walked[cat])],
+                               dtype=np.int64).reshape(-1, 2).T
+        n_gt = (gt_ignore[gt_cat == cat, None] >> np.arange(len(lane_thr)) & 1 == 0).sum(0)
+        for lane, n in enumerate(n_gt.tolist()):
+            if n:   # a category with no ground truth in a lane's bucket sits that lane out
+                flags = (tp >> lane & 1)[counted >> lane & 1 == 1].astype(bool)
+                lane_aps[lane].append(average_precision(flags.tolist(), n))
+        tp_50 += int((tp & 1).sum())
+        fp_50 += int((counted & ~tp & 1).sum())
+        n_gt_50 += int(n_gt[0])
+    lane_ap = [sum(aps) / len(aps) if aps else -1.0 for aps in lane_aps]
+    n_iou = len(IOU_THRESHOLDS)
+    return APReport(sum(lane_ap[:n_iou]) / n_iou, lane_ap[0], lane_ap[5], *lane_ap[n_iou:],
+                    tp_50, fp_50, n_gt_50 - tp_50)

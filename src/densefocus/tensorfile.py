@@ -226,6 +226,15 @@ def num_value(key: str, value, integer: bool = True):
     return int(value) if integer else real
 
 
+def seed_value(key: str, value) -> int:
+    """A seed field: an integer in [0, 2**64).  Rng keeps a seed's low 64
+    bits, so a seed outside that range would alias another's streams."""
+    seed = num_value(key, value)
+    if not 0 <= seed < 2 ** 64:
+        raise FormatError(f"field {key!r} must be in [0, 2**64), got {value!r}")
+    return seed
+
+
 def real_value(key: str, value) -> float:
     return num_value(key, value, integer=False)
 

@@ -256,3 +256,37 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, capsys):
             capsys.readouterr()
     assert time.perf_counter() - start < TIME_BUDGET_S
     assert {0, 2} <= codes["train-demo"] and {0, 2} <= codes["gradcheck"], codes
+
+
+# seeds Rng would alias (it keeps a seed's low 64 bits), and the range's two ends
+OUT_OF_RANGE_SEEDS = (-1, -2 ** 63, 2 ** 64, 2 ** 64 + 7, 2 ** 100)
+EDGE_SEEDS = (0, 2 ** 64 - 1)
+
+
+def test_seeds_outside_the_generator_range_are_refused(tmp_path, capsys):
+    """A seed outside [0, 2**64) exits 2 from --seed and 3 as the seed field
+    of a spec or params file, before any file is written; 0 and 2**64 - 1 run."""
+    density = tmp_path / "d.drmt"
+    write_tensor(density, np.ones((1, 6, 6)))
+
+    def run(argv):
+        code = cli_dispatch(argv)
+        capsys.readouterr()
+        return code
+
+    def file_seed_commands(seed, case):
+        spec, params = tmp_path / f"spec{case}.json", tmp_path / f"params{case}.json"
+        spec.write_text(json.dumps({"width": 32, "height": 32, "n_clusters": 1, "seed": seed}))
+        params.write_text(json.dumps({"seed": seed}))
+        return (["synth", "--spec", str(spec), "--out-dir", str(tmp_path / f"scene{case}")],
+                ["calibrate", "--density", str(density), "--params", str(params),
+                 "--out", str(tmp_path / f"calib{case}.drmt")])
+
+    for case, seed in enumerate(OUT_OF_RANGE_SEEDS + EDGE_SEEDS):
+        want_flag, want_file = (0, 0) if seed in EDGE_SEEDS else (2, 3)
+        for argv in (["train-demo", "--steps", "0"], ["gradcheck", "--module", "ops"]):
+            assert run(["--seed", str(seed)] + argv) == want_flag, (seed, argv)
+        for argv in file_seed_commands(seed, case):
+            assert run(argv) == want_file, (seed, argv)
+        written = (tmp_path / f"scene{case}").exists(), (tmp_path / f"calib{case}.drmt").exists()
+        assert written == ((True, True) if seed in EDGE_SEEDS else (False, False)), seed

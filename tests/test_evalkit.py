@@ -1,14 +1,16 @@
 """Protocol evaluator: IoU, greedy matching, interpolated AP, full reports
 against a straight-line brute-force oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from densefocus.density import BBoxAnnotation
 from densefocus.errors import InvalidArgumentError
 from densefocus.evalkit import (
-    IOU_THRESHOLDS, SIZE_BUCKETS, Detection, APReport, _iou_matrix, ap_report,
-    average_precision, iou, match_detections,
+    IOU_THRESHOLDS, SIZE_BUCKETS, Detection, APReport, _candidates, _iou_matrix, _walk,
+    ap_report, average_precision, iou, match_detections,
 )
 from densefocus.rng import Rng
 from densefocus.synthgen import SceneSpec, generate_scene, perturb_detections
@@ -501,3 +503,134 @@ def test_report_matches_brute_force_on_a_dense_image():
 def test_report_validation():
     with pytest.raises(InvalidArgumentError):
         ap_report([], [gt(1, 1, 0, 0, 5, 5)], max_dets=-1)
+
+
+# ---------------------------------------------------------------------------
+# the one walk: candidates, tiers and per-lane taken marks
+
+def test_candidates_keep_the_smallest_threshold_and_prune_below_it():
+    det = (0.0, 0.0, 4.0, 20.0)
+    below = 10.0 - 2.0 ** -40
+    gts = [(0.0, 0.0, 4.0, 10.0), (0.0, 0.0, 4.0, below),   # IoU 0.5 and just below
+           (0.0, 0.0, 4.0, 15.0), (0.0, 10.0, 4.0, 10.0)]  # IoU 0.75 and 0.5
+    assert [iou(det, g) for g in gts[::2]] == [0.5, 0.75]
+    assert 0.5 - 1e-9 < iou(det, gts[1]) < 0.5
+    lanes = np.array(IOU_THRESHOLDS)
+    # by (-IoU, column); 0.75 meets lanes 0-5, 0.5 only lane 0
+    assert [list(c) for c in _candidates([det], gts, lanes)] == [[(2, 63), (0, 1), (3, 1)]]
+    assert [list(c) for c in _candidates([det, det], gts[1:2], lanes)] == [[], []]
+
+
+def walk(det_boxes, gt_boxes, lane_thr, gt_ignore, det_drop=None):
+    return _walk(np.array(det_boxes), np.array(gt_boxes), np.array(lane_thr),
+                 np.array(gt_ignore, dtype=np.int64), det_drop or [0] * len(det_boxes))
+
+
+def test_walk_tries_ignored_ground_truth_after_a_real_one_below_the_threshold():
+    det = (0.0, 0.0, 4.0, 20.0)
+    real, ignored = (0.0, 0.0, 4.0, 12.0), (0.0, 0.0, 4.0, 19.0)   # IoU 0.6 and 0.95
+    # lane 1 (0.8): the real one is the first free real candidate but misses,
+    # so the detection takes the ignored one and is excluded
+    assert walk([det], [real, ignored], [0.5, 0.8], [0, 0b10]) == ([0b01], [0b01], [0, 0b11])
+    # a real one that meets the threshold wins over an ignored one of higher IoU
+    assert walk([det], [real, ignored], [0.5], [0, 0b1]) == ([0b1], [0b1], [0b1, 0])
+    # with nothing to take in either tier the detection is an FP unless dropped
+    assert walk([det], [real], [0.5, 0.8], [0], [0b10]) == ([0b01], [0b01], [0b01])
+
+
+def test_walk_keeps_a_ground_truth_taken_in_one_lane_free_in_the_others():
+    gt_box = (0.0, 0.0, 4.0, 20.0)
+    first, second = (0.0, 0.0, 4.0, 12.0), (0.0, 0.0, 4.0, 18.0)   # IoU 0.6 and 0.9
+    # at 0.5 the first detection takes it; at 0.75 it misses and the second takes it
+    assert walk([first, second], [gt_box], [0.5, 0.75], [0]) == \
+        ([0b01, 0b10], [0b11, 0b11], [0b11])
+    dets = [Detection(1, 1, first, 0.9), Detection(1, 1, second, 0.8)]
+    r = ap_report(dets, [gt(1, 1, *gt_box)])
+    assert (r.ap50, r.ap75, r.tp, r.fp) == (1.0, 0.5, 1, 1)
+    assert r.to_dict() == oracles.brute_force_report(
+        [(d.image_id, d.category_id, d.bbox, d.score) for d in dets], [(1, 1, gt_box)])
+
+
+def test_bucket_detection_settles_for_an_ignored_ground_truth():
+    """In bucket vt the high-score detection overlaps its real (vt) ground
+    truth at IoU 0.40 and an ignored (t) one at 0.86: it is excluded, not an
+    FP, and the second detection's TP gives AP 1.0."""
+    gts = [gt(1, 1, 0.0, 0.0, 5.0, 5.0), gt(1, 1, 0.0, 0.0, 8.5, 8.5)]
+    dets = [Detection(1, 1, (0.0, 0.0, 7.9, 7.9), 0.9), Detection(1, 1, (0.0, 0.0, 5.0, 5.0), 0.5)]
+    r = ap_report(dets, gts).to_dict()
+    assert (r["ap50"], r["ap_vt"], r["ap_t"], r["tp"], r["fp"]) == (1.0, 1.0, 1.0, 2, 0)
+    assert r == oracles.brute_force_report(
+        [(d.image_id, d.category_id, d.bbox, d.score) for d in dets],
+        [(g.image_id, g.category_id, g.to_xywh()) for g in gts])
+
+
+def dense_match(dets, gts, thresh, max_dets):
+    """The dense first-maximum matcher the walk reproduces: per (image,
+    category), each score-ordered detection takes the free ground truth of
+    highest IoU at or above thresh, the earliest on ties."""
+    flags, matched = [None] * len(dets), [False] * len(gts)
+    for key in {(d.image_id, d.category_id) for d in dets}:
+        order = sorted((i for i, d in enumerate(dets) if (d.image_id, d.category_id) == key),
+                       key=lambda i: -dets[i].score)[:max_dets]
+        cols = [j for j, g in enumerate(gts) if (g.image_id, g.category_id) == key]
+        for i in order:
+            best, pick = -1.0, None
+            for j in cols:
+                v = iou(dets[i].bbox, gts[j].to_xywh())
+                if not matched[j] and v >= thresh and v > best:
+                    best, pick = v, j
+            flags[i] = pick is not None
+            if pick is not None:
+                matched[pick] = True
+    return flags, matched
+
+
+@pytest.mark.parametrize("thresh", [0.1, 1.0])
+def test_match_detections_at_the_threshold_extremes(thresh):
+    gts = [gt(1, 1, 0, 0, 4, 4), gt(1, 1, 10, 0, 4, 4)]
+    dets = [Detection(1, 1, (0, 0, 4, 4), 0.9),      # IoU 1
+            Detection(1, 1, (10, 0, 4, 1.8), 0.8),   # IoU 0.45
+            Detection(1, 1, (10, 0, 4, 0.3), 0.7)]   # IoU 0.075
+    want = ([True, True, False], [True, True]) if thresh == 0.1 else \
+        ([True, False, False], [True, False])
+    assert match_detections(dets, gts, thresh) == want
+    rng = Rng(19)
+    for _ in range(40):   # boxes on a unit grid, so IoU 1 and exact ties are common
+        gts = [gt(1, rng.randint(1, 2), rng.randint(0, 6), rng.randint(0, 6),
+                  rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 8))]
+        dets = [Detection(1, rng.randint(1, 2), (rng.randint(0, 6), rng.randint(0, 6),
+                                                 rng.randint(1, 4), rng.randint(1, 4)),
+                          rng.randint(1, 3) / 3) for _ in range(rng.randint(0, 10))]
+        max_dets = rng.randint(1, 6)
+        assert match_detections(dets, gts, thresh, max_dets) == \
+            dense_match(dets, gts, thresh, max_dets)
+
+
+def one_image_boxes(n, seed=10):
+    """n ground truths in one image, 2-16 px squares at one per 164 px^2
+    whatever n is, and one detection per ground truth jittered by up to 15 %
+    of its side; drawn straight from a seeded Rng, with no image."""
+    side = 12.8 * n ** 0.5
+    gts, dets = [], []
+    for ux, uy, uw, jx, jy, score in Rng(seed).randoms(6 * n).reshape(n, 6).tolist():
+        x, y, w = ux * side, uy * side, 2.0 + 14.0 * uw
+        gts.append(gt(1, 1, x, y, w, w))
+        dets.append(Detection(1, 1, (x + (jx - 0.5) * 0.3 * w, y + (jy - 0.5) * 0.3 * w, w, w),
+                              score))
+    return dets, gts
+
+
+def test_ten_thousand_boxes_in_one_image_stay_under_16_mb():
+    """10,000 ground truths and 10,000 detections in one (image, category)
+    group: only candidates are kept, never the 10,000 x 10,000 IoU matrix
+    (800 MB as float64)."""
+    n = 10_000
+    dets, gts = one_image_boxes(n)
+    tracemalloc.start()
+    try:
+        r = ap_report(dets, gts, max_dets=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert r.tp + r.fn == n and r.tp > 0.99 * n and r.ap50 > 0.98

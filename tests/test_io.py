@@ -12,7 +12,7 @@ from densefocus.evalkit import Detection
 from densefocus.params import seeded_uniform
 from densefocus.tensorfile import (
     load_annotation_file, num_value, number, read_json, read_tensor,
-    save_annotation_file, write_heatmap, write_tensor,
+    save_annotation_file, seed_value, write_heatmap, write_tensor,
 )
 
 
@@ -325,3 +325,11 @@ def test_num_value_integers_and_reals():
                          (float("inf"), False), (10 ** 400, True), ("0.5", False)):
         with pytest.raises(FormatError, match="field 'k' must be"):
             num_value("k", bad, integer=integer)
+
+
+def test_seed_value_is_an_integer_in_the_generator_range():
+    assert seed_value("seed", 0) == 0 and seed_value("seed", 7.0) == 7
+    assert seed_value("seed", 2 ** 64 - 1) == 2 ** 64 - 1
+    for bad in (-1, 2 ** 64, 2 ** 100, 2.5, "7", True, None):
+        with pytest.raises(FormatError, match="field 'seed' must be"):
+            seed_value("seed", bad)
