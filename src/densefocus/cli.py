@@ -22,7 +22,7 @@ from .density import calib_params, calibrate_density, gt_density
 from .dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params
 from .errors import DenseFocusError, FormatError, InvalidArgumentError, NumericError
 from .evalkit import ap_report
-from .ops import require_finite
+from .ops import require_chw, require_finite
 from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, num_value, range_value, read_json,
@@ -140,9 +140,7 @@ def cmd_select_regions(args) -> int:
 def cmd_dafm(args) -> int:
     doc = read_json(args.params, "attention params")
     seed = _resolve_seed(args, doc)
-    x = read_tensor(args.features)
-    if x.ndim != 3:
-        raise InvalidArgumentError(f"dafm: features must be 3-D, got shape {x.shape}")
+    x = require_chw(read_tensor(args.features), "dafm features")
     d = _read_density(args.density)
     bank = _set_fields(doc, {"bank_kernel": num_value})
     n_agents = expected_agents(x.shape[1], x.shape[2], **bank)
@@ -171,9 +169,7 @@ def cmd_dafm(args) -> int:
 def cmd_dffm(args) -> int:
     doc = read_json(args.params, "fusion params")
     seed = _resolve_seed(args, doc)
-    p = read_tensor(args.features)
-    if p.ndim != 3:
-        raise InvalidArgumentError(f"dffm: features must be 3-D, got shape {p.shape}")
+    p = require_chw(read_tensor(args.features), "dffm features")
     d = _read_density(args.density)
     try:
         kernel_set = tuple(int(k) for k in args.kernels.split(",") if k != "")

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .density import density_values
 from .errors import InvalidArgumentError
-from .ops import pool_output_extent, require_finite
+from .ops import pool_output_extent, require_chw, require_finite
 from .params import seeded_uniform
 from .regions import RegionSet, focus_bank, refine_mask, threshold_mask
 
@@ -190,10 +190,7 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     selected regions the output is exactly the local branch.  A NaN or
     infinite density raises NumericError.
     """
-    xv = ad.value_of(x, "dafm input")
-    if xv.ndim != 3:
-        raise InvalidArgumentError(f"dafm_forward: input must be [C,H,W], got {xv.shape}")
-    c, h, w = xv.shape
+    c, h, w = require_chw(ad.value_of(x, "dafm input"), "dafm input").shape
 
     d = require_finite(density_values(density), "dafm_forward")
     if d.shape[1:] != (h, w):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidArgumentError
-from .ops import as_tensor, zero_map
+from .ops import as_tensor, require_box, require_chw, zero_map
 from .params import seeded_uniform
 
 
@@ -33,14 +33,7 @@ class BBoxAnnotation:
     score: Optional[float] = None
 
     def __post_init__(self):
-        box = (self.cx, self.cy, self.width, self.height)
-        if not all(math.isfinite(v) for v in box):
-            raise InvalidArgumentError(
-                f"annotation (image {self.image_id}): non-finite box {box}")
-        if not (self.width > 0 and self.height > 0):
-            raise InvalidArgumentError(
-                f"annotation (image {self.image_id}): non-positive box "
-                f"{self.width}x{self.height}")
+        require_box(*self.to_xywh(), f"annotation (image {self.image_id})")
 
     @classmethod
     def from_xywh(cls, image_id, category_id, x, y, w, h, score=None):
@@ -59,8 +52,8 @@ class DensityMap:
     skipped: int = 0
 
     def __post_init__(self):
-        self.values = as_tensor(self.values, "density values")
-        if self.values.ndim != 3 or self.values.shape[0] != 1:
+        self.values = require_chw(as_tensor(self.values, "density values"), "density values")
+        if self.values.shape[0] != 1:
             raise InvalidArgumentError(
                 f"density map must be [1,H,W], got shape {self.values.shape}")
 
@@ -75,12 +68,9 @@ def density_values(d) -> np.ndarray:
     if isinstance(d, ad.Var):
         raise InvalidArgumentError("expected a concrete map, got a graph node")
     arr = as_tensor(d, "map")
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[0] != 1:
+    arr = require_chw(arr[None] if arr.ndim == 2 else arr, "map")
+    if arr.shape[0] != 1:
         raise InvalidArgumentError(f"map must be [1,H,W] or [H,W], got shape {arr.shape}")
-    if arr.size == 0:
-        raise InvalidArgumentError(f"map has a zero extent: shape {arr.shape}")
     return arr
 
 
@@ -211,10 +201,7 @@ def dgb_forward(x, params, cfg: DgbConfig):
     H and W must be divisible by 2**stages.  Returns the [1,H,W] map: an
     array for concrete inputs, a graph node when differentiating.
     """
-    xv = ad.value_of(x, "dgb input")
-    if xv.ndim != 3:
-        raise InvalidArgumentError(f"dgb_forward: input must be [C,H,W], got {xv.shape}")
-    h, w = xv.shape[1], xv.shape[2]
+    _, h, w = require_chw(ad.value_of(x, "dgb input"), "dgb input").shape
     factor = 2 ** cfg.stages
     if h % factor or w % factor:
         raise InvalidArgumentError(

@@ -16,6 +16,7 @@ from typing import Sequence
 from . import autodiff as ad
 from .density import CalibParams, calib_params, calibrate_density, density_values
 from .errors import InvalidArgumentError
+from .ops import require_chw
 from .params import seeded_uniform
 
 
@@ -147,14 +148,9 @@ def dffm_forward(p, density, params: DffmParams,
     resized paths, plus a 3x3 conv path, are summed in configuration order
     and mixed by a 1x1 conv.  An empty kernel_set leaves the conv path only.
     """
-    pv = ad.value_of(p, "dffm input")
-    if pv.ndim != 3:
-        raise InvalidArgumentError(f"dffm_forward: input must be [C,H,W], got {pv.shape}")
-    c, h, w = pv.shape
+    _, h, w = require_chw(ad.value_of(p, "dffm input"), "dffm input").shape
     kernel_set = tuple(int(k) for k in kernel_set)
     for k in kernel_set:
-        if k < 1:
-            raise InvalidArgumentError(f"dffm_forward: kernel must be >= 1, got {k}")
         if k > min(h, w):
             raise InvalidArgumentError(
                 f"dffm_forward: kernel {k} exceeds min extent {min(h, w)}")

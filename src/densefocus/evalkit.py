@@ -19,8 +19,8 @@ with numpy a block of detection rows at a time and only candidates are
 kept, so memory stays bounded whatever the group size.  The IoU formula
 runs elementwise in the same order as a one-pair evaluation, so every IoU
 is bit-identical to it.  match_detections is the same walk with one lane.
-Boxes must be finite: Detection and BBoxAnnotation reject NaN and infinite
-coordinates.
+Detection and BBoxAnnotation hold only boxes that ops.require_box accepts,
+so every IoU is a number.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 from .density import BBoxAnnotation
 from .errors import InvalidArgumentError
+from .ops import require_box
 
 # gt-area buckets, pixels^2: very tiny < 8^2, tiny < 16^2, small < 32^2
 SIZE_BUCKETS = (
@@ -55,17 +56,11 @@ class Detection:
     score: float
 
     def __post_init__(self):
+        label = f"detection (image {self.image_id})"
         x, y, w, h = (float(v) for v in self.bbox)
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            raise InvalidArgumentError(
-                f"detection (image {self.image_id}): non-finite box {self.bbox}")
-        if not (w > 0 and h > 0):
-            raise InvalidArgumentError(
-                f"detection (image {self.image_id}): non-positive box {w}x{h}")
+        self.bbox = require_box(x, y, w, h, label)
         if not math.isfinite(self.score):
-            raise InvalidArgumentError(
-                f"detection (image {self.image_id}): non-finite score")
-        self.bbox = (x, y, w, h)
+            raise InvalidArgumentError(f"{label}: non-finite score")
 
     @property
     def area(self) -> float:
@@ -103,20 +98,18 @@ def _iou_matrix(det_boxes, gt_boxes) -> np.ndarray:
     bx, by, bw, bh = _boxes(gt_boxes).T
     ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    disjoint = (ix <= 0) | (iy <= 0)
-    inter = np.where(disjoint, 0.0, ix * iy)
-    out = inter / (aw * ah + bw * bh - inter)
-    out[disjoint] = 0.0
-    return out
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)   # +0.0 for disjoint boxes
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two finite (x, y, w, h) boxes."""
+    """Intersection over union of two (x, y, w, h) boxes that
+    ops.require_box accepts."""
     boxes = np.array([a, b], dtype=np.float64)
-    if boxes.shape != (2, 4) or not np.isfinite(boxes).all() \
-            or (boxes[:, 2:] <= 0).any():
-        raise InvalidArgumentError(
-            "iou: boxes must be finite (x, y, w, h) with positive extents")
+    if boxes.shape != (2, 4):
+        raise InvalidArgumentError(f"iou: boxes must be (x, y, w, h), got shape {boxes.shape}")
+    for box in boxes.tolist():
+        require_box(*box, "iou")
     return float(_iou_matrix(boxes[:1], boxes[1:])[0, 0])
 
 
@@ -142,8 +135,7 @@ def _candidates(det_boxes, gt_boxes, lane_thr):
     the lanes whose threshold the IoU meets) pairs, sorted by (-IoU, column).
     A ground truth below the smallest threshold is pruned: it can match in
     no lane, and in that order it would end a lane's search only after every
-    qualifying candidate; so is a NaN IoU, which only boxes whose areas
-    under- or overflow float64 give.  IoU runs a block of rows at a time."""
+    qualifying candidate.  IoU runs a block of rows at a time."""
     lo, bits = lane_thr.min(), 1 << np.arange(len(lane_thr))
     rows = max(1, _IOU_BLOCK // max(1, len(gt_boxes)))
     for r0 in range(0, len(det_boxes), rows):

@@ -18,6 +18,7 @@ Conventions that the rest of the library leans on:
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -83,6 +84,27 @@ def require_finite(x: np.ndarray, label: str, error=NumericError) -> np.ndarray:
     if not np.isfinite(x).all():
         raise error(f"{label}: non-finite values")
     return x
+
+
+# a box area must be a normal float, and at most max/8 so that two areas and
+# their intersection (at most 4x the smaller area after rounding) add up finitely
+_MIN_AREA, _MAX_AREA = sys.float_info.min, sys.float_info.max / 8
+
+
+def require_box(x, y, w, h, label: str, error=InvalidArgumentError) -> tuple:
+    """(x, y, w, h) as floats when the evaluator can score the box: finite
+    values, positive extents, finite far corners x + w and y + h, and an
+    area w*h in [_MIN_AREA, _MAX_AREA]; else raise ``error``."""
+    x, y, w, h = box = float(x), float(y), float(w), float(h)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+        raise error(f"{label}: non-finite bbox {box}")
+    if not (w > 0 and h > 0):
+        raise error(f"{label}: non-positive bbox {w}x{h}")
+    if not (math.isfinite(x + w) and math.isfinite(y + h)):
+        raise error(f"{label}: bbox corner ({x + w}, {y + h}) overflows")
+    if not _MIN_AREA <= w * h <= _MAX_AREA:
+        raise error(f"{label}: bbox area {w * h} is not a normal float up to max/8")
+    return box
 
 
 def zero_map(height: int, width: int, label: str) -> np.ndarray:

@@ -25,9 +25,9 @@ def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.n
 
     mode="absolute": keep pixels with density >= value (value must be >= 0).
     mode="quantile": keep the top ceil(value * H * W) pixels by density,
-    ties included, for value in (0, 1].  An all-zero map yields an empty
-    mask in quantile mode (there is nothing to rank).  A NaN or infinite
-    density raises NumericError.
+    ties included, for value in (0, 1], but never a pixel whose density is
+    not positive: a sparse map keeps only its support, and an all-zero map
+    yields an empty mask.  A NaN or infinite density raises NumericError.
     """
     if isinstance(density, ad.Var):
         raise UnsupportedOperationError(
@@ -41,12 +41,10 @@ def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.n
         if not (0.0 < value <= 1.0):
             raise InvalidArgumentError(
                 f"threshold_mask: quantile must be in (0, 1], got {value}")
-        if not d.any():
-            return np.zeros_like(d)
         flat = d.reshape(-1)
         m = math.ceil(value * flat.size)
         tau = np.partition(flat, flat.size - m)[flat.size - m]
-        return (d >= tau).astype(np.float64)
+        return ((d >= tau) & (d > 0)).astype(np.float64)
     raise InvalidArgumentError(f"threshold_mask: unknown mode {mode!r}")
 
 
@@ -157,8 +155,6 @@ def focus_bank(x, mask, weight, bias, kernel: int = 7):
     if mv.shape != (1,) + xv.shape[1:]:
         raise InvalidArgumentError(
             f"focus_bank: mask shape {mv.shape} does not match features {xv.shape}")
-    if kernel < 1:
-        raise InvalidArgumentError(f"focus_bank: kernel must be >= 1, got {kernel}")
     masked = ad.multiply(x, mv)
     pooled = ad.avg_pool(masked, kernel)
     return ad.conv2d(pooled, weight, bias, stride=1, pad=0)

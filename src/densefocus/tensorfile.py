@@ -22,7 +22,7 @@ import numpy as np
 from .density import BBoxAnnotation, density_values
 from .errors import FormatError, InvalidArgumentError
 from .evalkit import Detection
-from .ops import as_tensor, require_finite
+from .ops import as_tensor, require_box, require_finite
 
 MAGIC = b"DRMT"
 VERSION = 1
@@ -141,10 +141,7 @@ def _parse_annotation_doc(doc):
             raise FormatError(
                 f"annotation {aid}: dangling category_id {ann['category_id']}")
         x, y, w, h = (number(v, f"annotation {aid}: bbox value") for v in ann["bbox"])
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            raise FormatError(f"annotation {aid}: non-finite bbox value")
-        if w <= 0 or h <= 0:
-            raise FormatError(f"annotation {aid}: non-positive bbox extents")
+        require_box(x, y, w, h, f"annotation {aid}", error=FormatError)
         img = images[img_id]
         x, y, w, h = _clamp_box(x, y, w, h, img["width"], img["height"])
         if w <= 0 or h <= 0:

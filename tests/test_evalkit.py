@@ -1,11 +1,14 @@
 """Protocol evaluator: IoU, greedy matching, interpolated AP, full reports
 against a straight-line brute-force oracle."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from densefocus import ops
+from densefocus.cli import cli_dispatch
 from densefocus.density import BBoxAnnotation
 from densefocus.errors import InvalidArgumentError
 from densefocus.evalkit import (
@@ -38,6 +41,61 @@ def test_iou_hand_values():
             iou((bad, 0, 2, 2), (0, 0, 2, 2))
         with pytest.raises(InvalidArgumentError):
             iou((0, 0, 2, 2), (0, 0, 2, bad))
+
+
+# boxes the evaluator cannot score: each has finite, positive sides, but its
+# area or a far corner is not a normal float, so its IoU could be NaN
+UNSCORABLE_BOXES = {
+    "area-overflow": (0.0, 0.0, 1e160, 1e160),
+    "x-corner-overflow": (1e308, 0.0, 1e308, 1e-300),
+    "y-corner-overflow": (0.0, 1.7e308, 1e-300, 1e308),
+    "area-rounds-to-zero": (1.0000000000000002, 0.0, 1.1e-16, 2e-308),
+    "area-underflow": (0.0, 0.0, 1e-160, 1e-160),
+}
+
+
+@pytest.mark.parametrize("box", UNSCORABLE_BOXES.values(), ids=UNSCORABLE_BOXES.keys())
+def test_boxes_the_evaluator_cannot_score_are_refused(box, tmp_path, capsys):
+    with pytest.raises(InvalidArgumentError):
+        Detection(1, 1, box, 0.9)
+    with pytest.raises(InvalidArgumentError):
+        gt(1, 1, *box)
+    for pair in ((box, (0, 0, 2, 2)), ((0, 0, 2, 2), box)):
+        with pytest.raises(InvalidArgumentError):
+            iou(*pair)
+    paths = {}
+    for name, bbox in (("gt", list(box)), ("dets", [0, 0, 2, 2])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "categories": [{"id": 1}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": bbox,
+                             "score": 0.9}]}))
+    assert cli_dispatch(["eval", "--gt", str(paths["gt"]), "--dets", str(paths["dets"])]) == 3
+    assert "annotation 1: " in capsys.readouterr().err
+
+
+def test_iou_matrix_is_never_nan_on_boxes_the_box_rule_accepts():
+    """Corners and sides from 1e-300 to 1e300; half the boxes overlap an
+    earlier one at its own scale, so intersections are not all empty."""
+    rng = Rng(29)
+    boxes = []
+    while len(boxes) < 400:
+        if boxes and rng.random() < 0.5:
+            x, y, w, h = boxes[rng.randint(0, len(boxes) - 1)]
+            box = (x + w * rng.uniform(-1, 1), y + h * rng.uniform(-1, 1),
+                   w * 10.0 ** rng.uniform(-20, 0), h * 10.0 ** rng.uniform(-20, 0))
+        else:
+            box = [10.0 ** rng.uniform(-300, 300) for _ in range(4)]
+            box[:2] = [v if rng.random() < 0.5 else -v for v in box[:2]]
+        try:
+            boxes.append(ops.require_box(*box, "stress box"))
+        except InvalidArgumentError:
+            pass
+    with np.errstate(over="raise", invalid="raise"):
+        m = _iou_matrix(boxes, boxes[::-1])
+    assert not np.isnan(m).any()
+    assert (m > 0).sum() > 400      # overlaps happen beyond each box with itself
 
 
 def random_boxes(rng, n, snap):

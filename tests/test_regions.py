@@ -47,6 +47,17 @@ def test_quantile_all_zero_map_is_empty():
     assert not threshold_mask(np.zeros((1, 5, 5)), "quantile", 0.5).any()
 
 
+def test_quantile_keeps_no_zero_density_pixel_of_a_sparse_scene():
+    # one cluster of 12 tiny objects: density on about 3 % of the 256x256 grid,
+    # so the top 10 % reaches into the zeros, which must stay out of the mask
+    _, anns = generate_scene(SceneSpec(256, 256, 1, (12, 12), (3, 8), 7.0, seed=5))
+    d = gt_density(anns, 256, 256).values
+    assert 0.0 < (d > 0).mean() < 0.10
+    m = threshold_mask(d, "quantile", 0.10)
+    assert np.array_equal(m, (d > 0).astype(np.float64))
+    assert refine_mask(m)[0].mean() < 0.10
+
+
 def test_quantile_full_and_accepts_density_map():
     d = DensityMap(np.abs(seeded_uniform(1, "thr.d", (1, 4, 4), 1)) + 0.01)
     assert threshold_mask(d, "quantile", 1.0).sum() == 16
