@@ -57,7 +57,7 @@ class Detection:
 
     def __post_init__(self):
         label = f"detection (image {self.image_id})"
-        x, y, w, h = (float(v) for v in self.bbox)
+        x, y, w, h = self.bbox
         self.bbox = require_box(x, y, w, h, label)
         if not math.isfinite(self.score):
             raise InvalidArgumentError(f"{label}: non-finite score")
@@ -96,9 +96,10 @@ def _iou_matrix(det_boxes, gt_boxes) -> np.ndarray:
     """
     ax, ay, aw, ah = _boxes(det_boxes).T[..., None]
     bx, by, bw, bh = _boxes(gt_boxes).T
-    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
-    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)   # +0.0 for disjoint boxes
+    with np.errstate(over="ignore"):   # boxes over float max apart overlap by -inf
+        ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+        iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)   # +0.0 for disjoint boxes, -inf too
     return inter / (aw * ah + bw * bh - inter)
 
 
@@ -218,6 +219,11 @@ def average_precision(flags, total_gt: int) -> float:
     if total_gt == 0:
         return -1.0
     kept = np.array([bool(f) for f in flags if f is not None], dtype=bool)
+    return _average_precision(kept, total_gt)
+
+
+def _average_precision(kept: np.ndarray, total_gt: int) -> float:
+    """average_precision of a bool array, total_gt > 0."""
     if not kept.size:
         return 0.0
     tp = np.cumsum(kept)
@@ -266,7 +272,7 @@ def ap_report(dets: Sequence[Detection], gts: Sequence[BBoxAnnotation],
         for lane, n in enumerate(n_gt.tolist()):
             if n:   # a category with no ground truth in a lane's bucket sits that lane out
                 flags = (tp >> lane & 1)[counted >> lane & 1 == 1].astype(bool)
-                lane_aps[lane].append(average_precision(flags.tolist(), n))
+                lane_aps[lane].append(_average_precision(flags, n))
         tp_50 += int((tp & 1).sum())
         fp_50 += int((counted & ~tp & 1).sum())
         n_gt_50 += int(n_gt[0])

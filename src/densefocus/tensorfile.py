@@ -90,12 +90,6 @@ def write_heatmap(path, density_map) -> None:
 # ---------------------------------------------------------------------------
 # annotation JSON (COCO subset)
 
-def _clamp_box(x, y, w, h, img_w, img_h):
-    x0, y0 = max(0.0, x), max(0.0, y)
-    x1, y1 = min(float(img_w), x + w), min(float(img_h), y + h)
-    return x0, y0, x1 - x0, y1 - y0
-
-
 def load_annotation_file(path):
     """Parse and validate an annotation JSON.
 
@@ -120,41 +114,51 @@ def load_annotation_file(path):
 
 
 def _parse_annotation_doc(doc):
-    images = {}
+    images, extents = {}, {}
     for im in doc["images"]:
         if not all(0 < number(v, f"image {im['id']}: width and height") < math.inf
                    for v in (im["width"], im["height"])):
             raise FormatError(f"image {im['id']}: width and height must be positive numbers")
         images[im["id"]] = {"width": im["width"], "height": im["height"],
                             "file_name": im.get("file_name", "")}
+        extents[im["id"]] = float(im["width"]), float(im["height"])
     category_ids = {c["id"] for c in doc["categories"]}
 
-    annotations = []
-    detections = []
+    # one read per field, and a message only when a check fails: the number
+    # rule's messages get the entry's name on the way out
+    annotations, detections = [], []
     for ann in doc["annotations"]:
         aid = ann.get("id", "?")
         img_id = ann["image_id"]
-        if img_id not in images:
-            raise FormatError(
-                f"annotation {aid}: dangling image_id {img_id}")
-        if ann["category_id"] not in category_ids:
-            raise FormatError(
-                f"annotation {aid}: dangling category_id {ann['category_id']}")
-        x, y, w, h = (number(v, f"annotation {aid}: bbox value") for v in ann["bbox"])
+        if img_id not in extents:
+            raise FormatError(f"annotation {aid}: dangling image_id {img_id}")
+        cat_id = ann["category_id"]
+        if cat_id not in category_ids:
+            raise FormatError(f"annotation {aid}: dangling category_id {cat_id}")
+        try:
+            # five labels: an overlong bbox meets the number rule on its fifth value
+            x, y, w, h = map(number, ann["bbox"], ("bbox value",) * 5)
+        except FormatError as exc:
+            raise FormatError(f"annotation {aid}: {exc}") from None
         require_box(x, y, w, h, f"annotation {aid}", error=FormatError)
-        img = images[img_id]
-        x, y, w, h = _clamp_box(x, y, w, h, img["width"], img["height"])
+        # clamp to the image, bit for bit max(0.0, x) and min(img_w, x + w)
+        img_w, img_h = extents[img_id]
+        x1, y1 = x + w, y + h
+        x, y = (x if x > 0.0 else 0.0), (y if y > 0.0 else 0.0)
+        w, h = (x1 if x1 < img_w else img_w) - x, (y1 if y1 < img_h else img_h) - y
         if w <= 0 or h <= 0:
             raise FormatError(f"annotation {aid}: bbox fully outside image")
         score = ann.get("score")
         if score is not None:
-            score = number(score, f"annotation {aid}: score")
+            try:
+                score = number(score, "score")
+            except FormatError as exc:
+                raise FormatError(f"annotation {aid}: {exc}") from None
             if not math.isfinite(score):
                 raise FormatError(f"annotation {aid}: non-finite score")
-        annotations.append(BBoxAnnotation.from_xywh(
-            img_id, ann["category_id"], x, y, w, h, score))
+        annotations.append(BBoxAnnotation(img_id, cat_id, x + w / 2.0, y + h / 2.0, w, h, score))
         if score is not None:
-            detections.append(Detection(img_id, ann["category_id"], (x, y, w, h), score))
+            detections.append(Detection(img_id, cat_id, (x, y, w, h), score))
     return images, annotations, detections
 
 
@@ -205,7 +209,9 @@ def read_json(path, label: str) -> dict:
 def number(value, what: str) -> float:
     """The number rule of every input file: an int or a float, never a bool or
     a string, read as a float; an int past float range reads as an infinity."""
-    if type(value) not in (int, float):
+    if type(value) is float:
+        return value
+    if type(value) is not int:
         raise FormatError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)

@@ -210,6 +210,17 @@ def reference_region_refine(mask, max_iter=100, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# annotation loading
+
+def clamp_box(x, y, w, h, img_w, img_h):
+    """An (x, y, w, h) box cut to an img_w x img_h image with builtin max and
+    min: the bits the annotation loader's clamp must give."""
+    x0, y0 = max(0.0, x), max(0.0, y)
+    x1, y1 = min(float(img_w), x + w), min(float(img_h), y + h)
+    return x0, y0, x1 - x0, y1 - y0
+
+
+# ---------------------------------------------------------------------------
 # brute-force COCO-protocol evaluator on plain tuples
 #   det = (image_id, category_id, (x, y, w, h), score)
 #   gt  = (image_id, category_id, (x, y, w, h))

@@ -2,7 +2,9 @@
 against a straight-line brute-force oracle."""
 
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +98,22 @@ def test_iou_matrix_is_never_nan_on_boxes_the_box_rule_accepts():
         m = _iou_matrix(boxes, boxes[::-1])
     assert not np.isnan(m).any()
     assert (m > 0).sum() > 400      # overlaps happen beyond each box with itself
+
+
+def test_iou_of_boxes_more_than_float_max_apart_is_zero_without_a_warning():
+    """The box rule bounds x + w, not x, so two boxes it accepts can lie
+    more than float max apart: their overlap overflows to -inf, which is
+    disjoint, and reads +0.0 with no overflow warning."""
+    far = (((-1.7e308, 0.0, 1.0, 1.0), (1.7e308, 0.0, 1.0, 1.0)),
+           ((0.0, -1.7e308, 1.0, 1.0), (0.0, 1.7e308, 1.0, 1.0)))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for a, b in far:
+            for det, truth in ((a, b), (b, a)):
+                value = iou(det, truth)
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+                r = ap_report([Detection(1, 1, det, 0.9)], [gt(1, 1, *truth)])
+                assert (r.tp, r.fp, r.fn) == (0, 1, 1)
 
 
 def random_boxes(rng, n, snap):

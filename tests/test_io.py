@@ -2,6 +2,7 @@
 the JSON reader and the number rule of input files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from densefocus.density import BBoxAnnotation
 from densefocus.errors import FormatError, InvalidArgumentError, NumericError
 from densefocus.evalkit import Detection
 from densefocus.params import seeded_uniform
+from densefocus.rng import Rng
 from densefocus.tensorfile import (
     load_annotation_file, num_value, number, read_json, read_tensor,
     save_annotation_file, seed_value, write_heatmap, write_tensor,
 )
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +277,85 @@ def test_load_annotation_keeps_int_extents_and_reads_int_boxes_as_floats(tmp_pat
     assert anns[0].to_xywh() == (1.0, 2.0, 3.0, 4.0)
     assert dets == [Detection(1, 1, (1.0, 2.0, 3.0, 4.0), 1.0)]
     assert type(dets[0].score) is float
+
+
+# one fault each, on an annotation that is otherwise good_ann()
+FAULTS = {
+    "dangling-image": {"image_id": 3},
+    "dangling-category": {"category_id": 8},
+    "non-number": {"bbox": [1.0, "2", 3.0, 4.0]},
+    "non-finite": {"bbox": [1.0, float("nan"), 3.0, 4.0]},
+    "non-positive": {"bbox": [1.0, 2.0, 0.0, 4.0]},
+    "fully-outside": {"bbox": [100.0, 2.0, 3.0, 4.0]},
+    "non-number-score": {"score": "0.9"},
+    "non-finite-score": {"score": float("inf")},
+}
+
+
+def load_error(tmp_path, annotations) -> str:
+    with pytest.raises(FormatError) as info:
+        load_annotation_file(write_doc(tmp_path, doc_with(annotations)))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("first", sorted(FAULTS))
+def test_load_reports_the_first_faulty_annotation_in_document_order(tmp_path, first):
+    """Whatever fault follows it, the error names the earlier faulty
+    annotation, with the message its fault gives alone."""
+    alone = load_error(tmp_path, [good_ann(id=1), good_ann(id=2, **FAULTS[first])])
+    assert alone.startswith("annotation 2: ")
+    for second in FAULTS:
+        assert load_error(tmp_path, [good_ann(id=1), good_ann(id=2, **FAULTS[first]),
+                                     good_ann(id=3, **FAULTS[second])]) == alone, second
+
+
+# int, float and mixed image extents
+CLAMP_EXTENTS = {1: (64, 48), 2: (37.5, 100.25), 3: (1000, 7.0)}
+
+
+def clamp_side(rng, extent):
+    """A start and a length along an image side: the start is -0.0, negative,
+    an int or a float in the image; the far end lands on the edge (exactly,
+    when the float sum allows), a hair inside it, past it, or anywhere."""
+    start = [-0.0, -rng.uniform(0.0, 4.0), -rng.randint(1, 4), rng.randint(0, int(extent) - 1),
+             rng.uniform(0.0, extent)][rng.randint(0, 4)]
+    end = [extent, math.nextafter(extent, 0.0), extent + rng.uniform(0.0, 3.0),
+           start + rng.uniform(0.5, 8.0)][rng.randint(0, 3)]
+    return start, end - start
+
+
+def test_load_clamps_every_box_as_max_and_min_do(tmp_path):
+    """2,000 seeded boxes, each loaded box bit for bit the one that
+    oracles.clamp_box gives; -0.0 tells the two apart from a plain compare."""
+    rng = Rng(22)
+    anns, want = [], []
+    while len(anns) < 2000:
+        image_id = rng.randint(1, 3)
+        img_w, img_h = CLAMP_EXTENTS[image_id]
+        (x, w), (y, h) = clamp_side(rng, img_w), clamp_side(rng, img_h)
+        box = oracles.clamp_box(float(x), float(y), float(w), float(h), img_w, img_h)
+        if w > 0 and h > 0 and box[2] > 0 and box[3] > 0:
+            anns.append({"id": len(anns) + 1, "image_id": image_id, "category_id": 1,
+                         "bbox": [x, y, w, h], "score": 0.5})
+            want.append((image_id, box))
+    doc = dict(doc_with(anns), images=[{"id": k, "width": v[0], "height": v[1]}
+                                       for k, v in CLAMP_EXTENTS.items()])
+    _, loaded, dets = load_annotation_file(write_doc(tmp_path, doc))
+    assert len(loaded) == len(dets) == len(want)
+    for a, d, (image_id, box) in zip(loaded, dets, want):
+        ref = BBoxAnnotation.from_xywh(image_id, 1, *box, score=0.5)
+        assert [v.hex() for v in d.bbox] == [v.hex() for v in box]
+        assert [v.hex() for v in (a.cx, a.cy, a.width, a.height)] == \
+            [v.hex() for v in (ref.cx, ref.cy, ref.width, ref.height)]
+    bboxes = [ann["bbox"] for ann in anns]
+    sides = [(b[i], b[i + 2], CLAMP_EXTENTS[ann["image_id"]][i])
+             for ann, b in zip(anns, bboxes) for i in (0, 1)]
+    assert sum(math.copysign(1.0, s) < 0 and s == 0 for s, _, _ in sides) > 50
+    assert sum(s < 0 for s, _, _ in sides) > 500
+    assert sum(float(s) + float(n) == e for s, n, e in sides) > 200
+    assert sum(s + n == math.nextafter(e, 0.0) for s, n, e in sides) > 50
+    assert sum(float(s) + float(n) > e for s, n, e in sides) > 500
+    assert sum(type(v) is int for b in bboxes for v in b) > 500
 
 
 # ---------------------------------------------------------------------------
