@@ -188,11 +188,12 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     rectangles feed the agent bank; the two attention stages produce the
     global branch, added to the always-on depthwise local branch.  With no
     selected regions the output is exactly the local branch.  A NaN or
-    infinite density raises NumericError.
+    infinite density raises NumericError.  A graph-node density is read by
+    value: the mask path is piecewise constant, so it has no gradient.
     """
     c, h, w = require_chw(ad.value_of(x, "dafm input"), "dafm input").shape
 
-    d = require_finite(density_values(density), "dafm_forward")
+    d = require_finite(ad.value_of(density_values(density)), "dafm_forward")
     if d.shape[1:] != (h, w):
         d = ad.bilinear_resize(d, h, w)
     raw_mask = threshold_mask(d, thresh_mode, thresh_value)

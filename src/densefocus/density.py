@@ -61,16 +61,18 @@ class DensityMap:
         return float(self.values.sum())
 
 
-def density_values(d) -> np.ndarray:
-    """Accept DensityMap, [1,H,W], or [H,W] and return a [1,H,W] array."""
+def density_values(d):
+    """The one rule for density and mask inputs: a DensityMap, or a [1,H,W] or
+    [H,W] array or graph node, as [1,H,W].  A graph node stays on the tape (an
+    [H,W] one is lifted with ``ad.reshape``), so gradient reaches its producer."""
     if isinstance(d, DensityMap):
         return d.values
-    if isinstance(d, ad.Var):
-        raise InvalidArgumentError("expected a concrete map, got a graph node")
-    arr = as_tensor(d, "map")
-    arr = require_chw(arr[None] if arr.ndim == 2 else arr, "map")
-    if arr.shape[0] != 1:
-        raise InvalidArgumentError(f"map must be [1,H,W] or [H,W], got shape {arr.shape}")
+    arr = d if isinstance(d, ad.Var) else as_tensor(d, "map")
+    if len(ad.shape_of(arr)) == 2:
+        arr = ad.reshape(arr, (1,) + ad.shape_of(arr))
+    shape = require_chw(ad.value_of(arr), "map").shape
+    if shape[0] != 1:
+        raise InvalidArgumentError(f"map must be [1,H,W] or [H,W], got shape {shape}")
     return arr
 
 
@@ -84,9 +86,10 @@ def gt_density(annotations: Sequence[BBoxAnnotation], height: int, width: int) -
 
     Each annotation adds coef * exp(-(u^2+v^2) / (2 sigma^2)) over the pixel
     disk u^2+v^2 <= r^2 with r = ceil(3 sigma) and coef = 1/(2 pi sigma^2).
-    The stamp is computed on a local grid that depends only on the center's
-    fractional part, then pasted, so shifting every center by an integer
-    offset shifts the map bit-exactly.
+    Only the disk's window inside the image is evaluated, with r capped at
+    width + height (no window pixel lies farther), so memory scales with the
+    image, not the box.  Offsets come from the center's integer part, so an
+    integer shift of every center shifts the map bit-exactly.
     """
     if height < 1 or width < 1:
         raise InvalidArgumentError(f"gt_density: bad extent {height}x{width}")
@@ -98,44 +101,30 @@ def gt_density(annotations: Sequence[BBoxAnnotation], height: int, width: int) -
             skipped += 1
             continue
         sigma = object_sigma(ann.width, ann.height)
-        r = math.ceil(3.0 * sigma)
+        r = math.ceil(min(3.0 * sigma, width + height))
         ax, ay = math.floor(cx), math.floor(cy)
-        fx, fy = cx - ax, cy - ay
+        x_lo, x_hi = max(0, ax - r), min(width - 1, ax + r)
+        y_lo, y_hi = max(0, ay - r), min(height - 1, ay + r)
 
-        u = (np.arange(2 * r + 1, dtype=np.float64) - r) - fx
-        v = (np.arange(2 * r + 1, dtype=np.float64) - r) - fy
+        u = np.arange(x_lo - ax, x_hi - ax + 1, dtype=np.float64) - (cx - ax)
+        v = np.arange(y_lo - ay, y_hi - ay + 1, dtype=np.float64) - (cy - ay)
         uu = u[None, :] ** 2
         vv = v[:, None] ** 2
         coef = 1.0 / (2.0 * math.pi * sigma * sigma)
         patch = coef * np.exp(-(uu + vv) / (2.0 * sigma * sigma))
         patch[uu + vv > r * r] = 0.0
-
-        x_lo, x_hi = max(0, ax - r), min(width - 1, ax + r)
-        y_lo, y_hi = max(0, ay - r), min(height - 1, ay + r)
-        if x_lo > x_hi or y_lo > y_hi:
-            skipped += 1
-            continue
-        px_lo, py_lo = x_lo - (ax - r), y_lo - (ay - r)
-        out[0, y_lo:y_hi + 1, x_lo:x_hi + 1] += patch[
-            py_lo:py_lo + (y_hi - y_lo + 1), px_lo:px_lo + (x_hi - x_lo + 1)]
+        out[0, y_lo:y_hi + 1, x_lo:x_hi + 1] += patch
     return DensityMap(out, skipped)
 
 
 # ---------------------------------------------------------------------------
 # losses
 
-def _loss_operand(x):
-    if isinstance(x, DensityMap):
-        return x.values
-    if isinstance(x, ad.Var):
-        return x
-    return as_tensor(x, "loss operand")
-
-
 def density_loss(pred, gt):
-    """Mean squared error between two equal-shape density maps.  Returns a
-    scalar (0-d array, or Var when either side is a graph node)."""
-    p, g = _loss_operand(pred), _loss_operand(gt)
+    """Mean squared error between two equal-shape density maps, each taken
+    by :func:`density_values` ([1,H,W] or [H,W]).  Returns a scalar (0-d
+    array, or Var when either side is a graph node)."""
+    p, g = density_values(pred), density_values(gt)
     p_shape, g_shape = ad.shape_of(p), ad.shape_of(g)
     if p_shape != g_shape:
         raise InvalidArgumentError(
@@ -243,6 +232,5 @@ def calib_params(seed: int, c_mid: int = 4) -> CalibParams:
 def calibrate_density(d, params: CalibParams):
     """Map a raw density prior to a calibrated (0,1) [1,H,W] map of the same
     size: an array for concrete inputs, a graph node otherwise."""
-    dv = d if isinstance(d, ad.Var) else density_values(d)
-    hidden = ad.relu(ad.conv2d(dv, params.w1, params.b1, stride=1, pad=1))
+    hidden = ad.relu(ad.conv2d(density_values(d), params.w1, params.b1, stride=1, pad=1))
     return ad.sigmoid(ad.conv2d(hidden, params.w2, params.b2, stride=1, pad=0))

@@ -146,7 +146,8 @@ def dffm_forward(p, density, params: DffmParams,
     Per kernel k: avg_pool(P, k) -> band masks from the resized raw density
     -> frequency split -> band enhancement -> resize back to (H, W).  The
     resized paths, plus a 3x3 conv path, are summed in configuration order
-    and mixed by a 1x1 conv.  An empty kernel_set leaves the conv path only.
+    and mixed by a 1x1 conv; an empty kernel_set leaves the conv path only.
+    A graph-node density gets gradient through P * D and the D, 1 - D gates.
     """
     _, h, w = require_chw(ad.value_of(p, "dffm input"), "dffm input").shape
     kernel_set = tuple(int(k) for k in kernel_set)

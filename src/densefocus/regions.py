@@ -20,6 +20,13 @@ from .errors import InvalidArgumentError, UnsupportedOperationError
 from .ops import require_finite
 
 
+def _selection_map(m, who: str) -> np.ndarray:
+    """``density_values(m)`` for a concrete map; a graph node is refused."""
+    if isinstance(m, ad.Var):
+        raise UnsupportedOperationError(f"{who}: region selection is not differentiable")
+    return density_values(m)
+
+
 def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.ndarray:
     """Binarize a density map into a [1,H,W] {0,1} float mask.
 
@@ -29,10 +36,7 @@ def threshold_mask(density, mode: str = "quantile", value: float = 0.10) -> np.n
     not positive: a sparse map keeps only its support, and an all-zero map
     yields an empty mask.  A NaN or infinite density raises NumericError.
     """
-    if isinstance(density, ad.Var):
-        raise UnsupportedOperationError(
-            "threshold_mask: region selection is not differentiable")
-    d = require_finite(density_values(density), "threshold_mask")
+    d = require_finite(_selection_map(density, "threshold_mask"), "threshold_mask")
     if mode == "absolute":
         if not (value >= 0.0 and math.isfinite(value)):
             raise InvalidArgumentError(f"threshold_mask: bad absolute threshold {value}")
@@ -120,7 +124,7 @@ def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     (1-based coordinates), and each non-empty cluster contributes its
     bounding rectangle.  An empty mask maps to an empty mask and no regions.
     """
-    m2 = density_values(mask)[0]
+    m2 = _selection_map(mask, "refine_mask")[0]
     if not np.all((m2 == 0.0) | (m2 == 1.0)):
         raise InvalidArgumentError("refine_mask: mask entries must be 0 or 1")
     h, w = m2.shape
@@ -148,10 +152,8 @@ def focus_bank(x, mask, weight, bias, kernel: int = 7):
     a 1x1 conv mixes channels.  Cells whose window lies fully outside the
     rectangles are exactly zero before the conv bias.
     """
-    if isinstance(mask, ad.Var):
-        raise UnsupportedOperationError("focus_bank: mask must be a concrete array")
     xv = ad.value_of(x, "focus input")
-    mv = density_values(mask)
+    mv = _selection_map(mask, "focus_bank")
     if mv.shape != (1,) + xv.shape[1:]:
         raise InvalidArgumentError(
             f"focus_bank: mask shape {mv.shape} does not match features {xv.shape}")

@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from . import autodiff as ad
 from .density import BBoxAnnotation, density_values
 from .errors import FormatError, InvalidArgumentError
 from .evalkit import Detection
@@ -72,9 +73,9 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_heatmap(path, density_map) -> None:
-    """Min-max normalize a [1,H,W] (or [H,W]) map to 8-bit and write binary
-    PGM (P5).  Constant maps emit mid-gray 128; non-finite maps raise NumericError."""
-    arr = require_finite(density_values(density_map), "write_heatmap")[0]
+    """Min-max normalize a [1,H,W] or [H,W] map, or a graph node's value, to
+    8-bit binary PGM (P5).  Constant maps emit 128; non-finite ones raise NumericError."""
+    arr = require_finite(ad.value_of(density_values(density_map)), "write_heatmap")[0]
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
         scaled = np.rint((arr - lo) / (hi - lo) * 255.0)

@@ -303,6 +303,21 @@ def test_var_input_matches_plain_forward():
     assert np.array_equal(graph.value, plain)
 
 
+def test_var_density_is_read_by_value():
+    params = dafm_params(channels=2, embed=2, n_agents=4, seed=9)
+    x = u(9, "da.var.x", (2, 8, 8))
+    density = blob_density(8, 8, 3, 6, 1, 5)
+    plain, inter = dafm_forward(x, density, params, bank_kernel=4,
+                                return_intermediates=True)
+    assert inter.regions.rectangles
+    x_node, d_node = ad.Var(x), ad.Var(density)
+    graph = dafm_forward(x_node, d_node, params, bank_kernel=4)
+    assert np.array_equal(graph.value, plain)
+    ad.backward(ad.sum_all(ad.multiply(graph, u(9, "da.var.w", (2, 8, 8)))))
+    assert d_node.grad is None
+    assert x_node.grad is not None and np.any(x_node.grad != 0.0)
+
+
 def test_dafm_input_rank_error():
     params = dafm_params(channels=2, embed=2, n_agents=4, seed=1)
     with pytest.raises(InvalidArgumentError):

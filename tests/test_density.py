@@ -1,6 +1,8 @@
 """Density priors, losses, the generation branch, and calibration."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from densefocus.density import (
     calibrate_density, density_loss, density_values, dgb_channel_plan,
     dgb_forward, dgb_params, gt_density, object_sigma,
 )
-from densefocus.errors import InvalidArgumentError
+from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
-from densefocus.regions import focus_bank, refine_mask
+from densefocus.regions import focus_bank, refine_mask, threshold_mask
 from densefocus.tensorfile import write_heatmap
 
 import oracles
@@ -124,6 +126,28 @@ def test_gt_density_rejects_bad_extent():
         gt_density([], 8, -1)
 
 
+def test_stamp_memory_is_bounded_by_the_image_not_the_box():
+    # 3 sigma reaches far past the image: only the window inside it is
+    # evaluated, and capping r at width + height changes no pixel
+    long = gt_density([ann(4.0, 4.0, 2e4, 1e-4)], 8, 8)
+    ref, _ = oracles.hand_density_single(4.0, 4.0, 2e4, 1e-4, 8, 8)
+    assert (long.values > 0.0).all()
+    assert np.allclose(long.values, ref, rtol=1e-15, atol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = gt_density([ann(4.0, 4.0, 1e200, 1e-200)], 8, 8)
+    # sigma overflows to inf, so coef = 1/(2 pi sigma^2) is 0.0, as it rounds anyway
+    assert huge.skipped == 0 and not huge.values.any()
+    tracemalloc.start()
+    try:
+        full = gt_density([BBoxAnnotation.from_xywh(1, 1, 0.0, 0.0, 600.0, 600.0)], 600, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full.skipped == 0 and full.values.all()
+    assert peak < 16e6
+
+
 def test_annotation_validation_and_xywh_roundtrip():
     with pytest.raises(InvalidArgumentError):
         ann(5, 5, 0, 3)
@@ -150,8 +174,8 @@ def test_density_map_validation_and_coercion():
     assert density_values(np.zeros((3, 3))).shape == (1, 3, 3)
     with pytest.raises(InvalidArgumentError):
         density_values(np.zeros((2, 3, 3)))
-    with pytest.raises(InvalidArgumentError):
-        density_values(ad.Var(np.zeros((1, 3, 3))))
+    node = ad.Var(np.zeros((1, 3, 3)))
+    assert density_values(node) is node
 
 
 @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 5), (1, 5, 0), (0, 4), (0, 0)])
@@ -192,6 +216,19 @@ def test_map_consumers_share_the_density_coercion(consumer, tmp_path):
             call(bad, tmp_path)
 
 
+def test_region_selection_refuses_a_graph_node_and_write_heatmap_reads_its_value(tmp_path):
+    mask = np.zeros((1, 6, 6))
+    mask[0, 1:3, 2:5] = 1.0
+    for consumer in ("refine_mask", "focus_bank"):
+        with pytest.raises(UnsupportedOperationError):
+            MAP_CONSUMERS[consumer](ad.Var(mask), tmp_path)
+    with pytest.raises(UnsupportedOperationError):
+        threshold_mask(ad.Var(mask))
+    ramp = np.abs(seeded_uniform(5, "hm.var", (6, 7), 1))
+    for node in (ad.Var(ramp), ad.Var(ramp[None])):
+        assert _heatmap_bytes(node, tmp_path) == _heatmap_bytes(ramp, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -217,6 +254,16 @@ def test_density_loss_matches_double_loop():
 def test_density_loss_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         density_loss(np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
+
+
+def test_density_loss_takes_two_density_maps():
+    p = seeded_uniform(6, "dl.hw.p", (4, 5), 1)
+    g = seeded_uniform(7, "dl.hw.g", (4, 5), 1)
+    assert density_loss(p, g) == density_loss(p[None], g[None])
+    assert density_loss(ad.Var(p), g).value == density_loss(p[None], g[None])
+    assert ad.grad_check(lambda x: density_loss(x, g), p, eps=1e-6) < 1e-5
+    with pytest.raises(InvalidArgumentError):
+        density_loss(np.zeros((2, 4, 5)), np.zeros((2, 4, 5)))
 
 
 def test_density_loss_grad_check():
