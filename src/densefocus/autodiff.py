@@ -320,6 +320,33 @@ def _sigmoid_gates_vjp(g, out, needs, a, b, bias):
 
 
 sigmoid_gates = defop(ops.sigmoid_gates, _sigmoid_gates_vjp)
+
+
+def _gated_mix_vjp(g, out, needs, a, b, bias, v):
+    """Recompute each row block's gates, as the forward built them, and take
+    the block's cotangents through the matmul and gate rules: a's rows (and
+    an [m,1] or [m,n] bias's) come from their own block, while b, v and a
+    [1,n] bias sum theirs over the blocks in order."""
+    da, db, dbias, dv = (np.zeros_like(t) if need else None
+                         for t, need in zip((a, b, bias, v), needs))
+    for rows in ops.mix_blocks(a.shape[0]):
+        bias_blk = ops.bias_rows(bias, rows)
+        gates = ops.sigmoid_gates(a[rows], b, bias_blk)
+        if needs[3]:
+            dv += gates.T @ g[rows]
+        if any(needs[:3]):
+            ca, cb, cbias = _sigmoid_gates_vjp(g[rows] @ v.T, gates, needs[:3],
+                                               a[rows], b, bias_blk)
+            if needs[0]:
+                da[rows] = ca
+            if needs[1]:
+                db += cb
+            if needs[2]:
+                ops.bias_rows(dbias, rows)[...] += cbias
+    return da, db, dbias, dv
+
+
+gated_mix = defop(ops.gated_mix, _gated_mix_vjp)
 dct2 = defop(ops.dct2, lambda g, out, needs, x: (ops.idct2(g),))
 idct2 = defop(ops.idct2, lambda g, out, needs, x: (ops.dct2(g),))
 

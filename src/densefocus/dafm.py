@@ -4,8 +4,12 @@ Instead of full pairwise attention over all H*W pixels, a small bank of
 agent vectors (pooled from the density-selected regions) mediates two
 sigmoid-gated stages: agents gather from all pixels (forward stage), then
 pixels read back from the agents (backward stage).  Cost is linear in the
-pixel count for a fixed bank size.  A depthwise-separable local branch is
-always added, so an empty region selection degrades to exactly that branch.
+pixel count for a fixed bank size.  Each stage is one ``gated_mix``, which
+builds its gates one fixed row block at a time and recomputes them block by
+block in the backward, so no L x n gate matrix is ever held whole and the
+memory is linear in the pixel count too.  A depthwise-separable local branch
+is always added, so an empty region selection degrades to exactly that
+branch.
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ def ifam_stage1(bank, keys, values, bias_fwd):
     if ad.shape_of(bias_fwd) != (n,):
         raise InvalidArgumentError(
             f"ifam_stage1: bias shape {ad.shape_of(bias_fwd)} != ({n},)")
-    gates = ad.sigmoid_gates(bank, keys, ad.reshape(bias_fwd, (n, 1)))
-    return ad.matmul(gates, values)
+    return ad.gated_mix(bank, keys, ad.reshape(bias_fwd, (n, 1)), values)
 
 
 def ifam_stage2(queries, bank, gathered, bias_bwd):
@@ -119,8 +122,7 @@ def ifam_stage2(queries, bank, gathered, bias_bwd):
     if ad.shape_of(bias_bwd) != (n,):
         raise InvalidArgumentError(
             f"ifam_stage2: bias shape {ad.shape_of(bias_bwd)} != ({n},)")
-    gates = ad.sigmoid_gates(queries, bank, ad.reshape(bias_bwd, (1, n)))
-    return ad.matmul(gates, gathered)
+    return ad.gated_mix(queries, bank, ad.reshape(bias_bwd, (1, n)), gathered)
 
 
 def ifam_forward(x, bank_rows, params: IfamParams):

@@ -376,6 +376,28 @@ def matmul(a, b) -> np.ndarray:
 _GATE_BLOCK = 1 << 16
 
 
+def _gate_operands(a, b, bias, label: str) -> tuple:
+    """a [m,d], b [n,d] and a bias that broadcasts to [m,n] without growing
+    it, as float64 arrays."""
+    a = as_tensor(a, "gates lhs")
+    b = as_tensor(b, "gates rhs")
+    bias = as_tensor(bias, "gates bias")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise InvalidArgumentError(
+            f"{label}: expected [m,d] and [n,d], got {a.shape} and {b.shape}")
+    shape = (a.shape[0], b.shape[0])
+    if bias.ndim != 2 or any(e not in (1, full) for e, full in zip(bias.shape, shape)):
+        raise InvalidArgumentError(
+            f"{label}: bias shape {bias.shape} does not broadcast to {shape}")
+    return a, b, bias
+
+
+def bias_rows(bias: np.ndarray, rows: slice) -> np.ndarray:
+    """The rows of a gate bias that score rows ``rows``: one [1,n] bias
+    serves every row."""
+    return bias if bias.shape[0] == 1 else bias[rows]
+
+
 def sigmoid_gates(a, b, bias) -> np.ndarray:
     """Attention gates sigmoid(a @ b^T / sqrt(d) + bias) for a [m,d] and
     b [n,d], built in the one owned [m,n] buffer that the product allocates.
@@ -388,17 +410,9 @@ def sigmoid_gates(a, b, bias) -> np.ndarray:
     elementwise, so the result equals the composition matmul -> scale ->
     add -> sigmoid bit for bit.
     """
-    a = as_tensor(a, "gates lhs")
-    b = as_tensor(b, "gates rhs")
-    bias = as_tensor(bias, "gates bias")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise InvalidArgumentError(
-            f"sigmoid_gates: expected [m,d] and [n,d], got {a.shape} and {b.shape}")
+    a, b, bias = _gate_operands(a, b, bias, "sigmoid_gates")
     m, d = a.shape
     n = b.shape[0]
-    if bias.ndim != 2 or any(e not in (1, full) for e, full in zip(bias.shape, (m, n))):
-        raise InvalidArgumentError(
-            f"sigmoid_gates: bias shape {bias.shape} does not broadcast to ({m},{n})")
     _tally(m * d * n)
     g = a @ b.T.copy()
     scale = 1.0 / math.sqrt(d)
@@ -407,9 +421,37 @@ def sigmoid_gates(a, b, bias) -> np.ndarray:
     for r in range(0, m, rows):
         blk = g[r:r + rows]
         blk *= scale
-        blk += bias if bias.shape[0] == 1 else bias[r:r + rows]
+        blk += bias_rows(bias, slice(r, r + rows))
         _sigmoid_into(blk, num[:len(blk)])
     return g
+
+
+# rows of a per block of gated_mix.  A multiple of 8: OpenBLAS rounds blocks
+# of 1, 2 or 5 rows apart from the same rows of the whole products, and
+# blocks of 8 to 128 rows alike.  64 rows of 12,544 pixels is 6.4 MB.
+_MIX_ROWS = 64
+
+
+def mix_blocks(m: int):
+    """The row slices of gated_mix's blocks, in order."""
+    return [slice(r, r + _MIX_ROWS) for r in range(0, m, _MIX_ROWS)]
+
+
+def gated_mix(a, b, bias, v) -> np.ndarray:
+    """sigmoid_gates(a, b, bias) @ v for a [m,d], b [n,d] and v [n,d_v],
+    one fixed block of a's rows at a time, so at most a [64,n] block of
+    gates is ever held.  bias is [m,1], [1,n] or [m,n], as for
+    sigmoid_gates.  MACs are tallied as the composition tallies them:
+    m*d*n for the gates, m*n*d_v for the product."""
+    a, b, bias = _gate_operands(a, b, bias, "gated_mix")
+    v = as_tensor(v, "gated_mix values")
+    if v.ndim != 2 or v.shape[0] != b.shape[0]:
+        raise InvalidArgumentError(
+            f"gated_mix: values shape {v.shape} is not [{b.shape[0]},d_v]")
+    out = np.empty((a.shape[0], v.shape[1]))
+    for rows in mix_blocks(a.shape[0]):
+        out[rows] = matmul(sigmoid_gates(a[rows], b, bias_rows(bias, rows)), v)
+    return out
 
 
 # ---------------------------------------------------------------------------

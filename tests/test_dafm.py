@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from densefocus import autodiff as ad
+from densefocus import ops
 from densefocus.dafm import (
     DafmParams, IfamParams, dafm_forward, dafm_params, expected_agents,
     ifam_params, ifam_stage1, ifam_stage2, project_qkv,
@@ -207,6 +208,47 @@ def test_sigmoid_gates_peak_memory_is_one_gate_buffer():
     assert peak <= 1.1 * m * n * 8
 
 
+def rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+# (m, n, d, d_v): a ragged last block, m a whole number of blocks, m below
+# one block, and the 361 agents of stage 1 at 128x128 (5 * 64 + 41)
+MIX_SHAPES = [(150, 37, 5, 3), (128, 20, 3, 2), (40, 30, 4, 6), (361, 700, 16, 16)]
+
+
+@pytest.mark.parametrize("bias_shape", ["row", "column"])
+@pytest.mark.parametrize("m,n,d,dv", MIX_SHAPES)
+def test_gated_mix_matches_composition(m, n, d, dv, bias_shape):
+    seed = m + n
+    point = [u(seed, "mix.a", (m, d), 1), u(seed, "mix.b", (n, d), 1),
+             u(seed, "mix.bias", (m, 1) if bias_shape == "row" else (1, n), 1),
+             u(seed, "mix.v", (n, dv), 1)]
+    w = u(seed, "mix.w", (m, dv), 1)
+
+    def composed(a, b, bias, v):
+        return ad.matmul(ad.sigmoid_gates(a, b, bias), v)
+
+    def grads(mix, args):
+        ad.backward(ad.sum_all(ad.multiply(mix(*args), w)))
+        return [arg.grad for arg in args if isinstance(arg, ad.Var)]
+
+    got = ad.gated_mix(*point)
+    assert got.tobytes() == ad.gated_mix(*point).tobytes()
+    assert rel_err(got, composed(*point)) <= 1e-13
+    with ops.count_macs() as counter:
+        ad.gated_mix(*point)
+    assert counter.macs == m * d * n + m * n * dv
+
+    mixed = grads(ad.gated_mix, [ad.Var(p) for p in point])
+    for got_grad, ref in zip(mixed, grads(composed, [ad.Var(p) for p in point])):
+        assert rel_err(got_grad, ref) <= 1e-12
+    for i in range(4):
+        lone = [ad.Var(p) if j == i else p for j, p in enumerate(point)]
+        # a lone Var gets the bytes it gets beside the other three
+        assert grads(ad.gated_mix, lone)[0].tobytes() == mixed[i].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full block
 
@@ -316,6 +358,36 @@ def test_var_density_is_read_by_value():
     ad.backward(ad.sum_all(ad.multiply(graph, u(9, "da.var.w", (2, 8, 8)))))
     assert d_node.grad is None
     assert x_node.grad is not None and np.any(x_node.grad != 0.0)
+
+
+def dafm_peaks(size):
+    """tracemalloc peaks of dafm_forward alone and of it plus its backward, at
+    C=16 with the default 7x7 bank, each over the input's bytes."""
+    c = 16
+    x = u(1, "da.mem.x", (c, size, size), c)
+    density = blob_density(size, size, size // 4, size // 2, size // 8, 3 * size // 4)
+    params = dafm_params(c, c, expected_agents(size, size), seed=1)
+    peaks = []
+    for graph in (False, True):
+        tracemalloc.start()
+        try:
+            if graph:
+                ad.backward(ad.sum_all(dafm_forward(ad.Var(x), density, params)))
+            else:
+                dafm_forward(x, density, params)
+            peaks.append(tracemalloc.get_traced_memory()[1] / x.nbytes)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_dafm_peak_memory_is_linear_in_pixels():
+    # 100 agents at 64x64 and 361 at 128x128, whose last stage-1 block is
+    # ragged: the gates are held one fixed row block at a time, so neither
+    # peak grows with the agent count
+    small, large = dafm_peaks(64), dafm_peaks(128)
+    for lo, hi in zip(small, large):
+        assert max(lo, hi) <= 1.1 * min(lo, hi), (small, large)
 
 
 def test_dafm_input_rank_error():

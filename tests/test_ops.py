@@ -470,6 +470,19 @@ def test_sigmoid_gates_macs_and_validation():
             ops.sigmoid_gates(bad_a, bad_b, bad_bias)
 
 
+def test_gated_mix_validation():
+    # 128 rows are two whole blocks: a bias one row too long would still give
+    # each block a bias of the block's own height
+    m, n, d = 128, 6, 4
+    a, b, v = u(45, "gx.a", (m, d), 1), u(46, "gx.b", (n, d), 1), u(47, "gx.v", (n, 3), 1)
+    row, col = np.zeros((m, 1)), np.zeros((1, n))
+    assert ops.gated_mix(a[:0], b, col, v).shape == (0, 3)
+    for bad in [(a, b, np.zeros((m + 1, 1)), v), (a, b, row, v[:5]), (a, b, row, v[0]),
+                (a, b[:, :3], row, v), (a[0], b, col, v), (a, b, np.zeros(n), v)]:
+        with pytest.raises(InvalidArgumentError):
+            ops.gated_mix(*bad)
+
+
 def test_relu():
     x = np.array([-2.0, 0.0, 3.5])
     assert np.array_equal(ops.relu(x), [0.0, 0.0, 3.5])
