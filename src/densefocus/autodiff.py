@@ -306,43 +306,34 @@ matmul = defop(ops.matmul, lambda g, out, needs, a, b: (g @ b.T if needs[0] else
                                                          a.T @ g if needs[1] else None))
 
 
-def _sigmoid_gates_vjp(g, out, needs, a, b, bias):
-    """The arithmetic and operand layouts of the matmul -> scale -> add ->
-    sigmoid composition (BLAS may round a product with a C-ordered b apart
-    from one with the F-ordered b^T^T), so gradients match it bit for bit;
-    the score cotangent g*out*(1-out) is formed once, in one owned buffer."""
-    t = np.multiply(g, out)
-    t *= 1.0 - out
-    dbias = _unbroadcast(t, bias.shape).copy() if needs[2] else None
-    t *= 1.0 / math.sqrt(a.shape[1])
-    return (t @ np.asfortranarray(b) if needs[0] else None,
-            (a.T @ t).T if needs[1] else None, dbias)
-
-
-sigmoid_gates = defop(ops.sigmoid_gates, _sigmoid_gates_vjp)
-
-
 def _gated_mix_vjp(g, out, needs, a, b, bias, v):
-    """Recompute each row block's gates, as the forward built them, and take
-    the block's cotangents through the matmul and gate rules: a's rows (and
-    an [m,1] or [m,n] bias's) come from their own block, while b, v and a
-    [1,n] bias sum theirs over the blocks in order."""
+    """Recompute each row block's gates with ops.gate_blocks, as the forward
+    built them, and take the block's cotangents through the product and gate
+    rules: a's rows (and an [m,1] or [m,n] bias's) come from their own block,
+    while b, v and a [1,n] bias sum theirs over the blocks in order.  The gate
+    rule keeps the arithmetic and operand layouts of the matmul -> scale ->
+    add -> sigmoid composition (BLAS may round a product with a C-ordered b
+    apart from one with the F-ordered b^T^T), and forms the score cotangent
+    g*gates*(1-gates) in one owned buffer."""
+    a, b, bias, v = (ops.as_tensor(t) for t in (a, b, bias, v))
     da, db, dbias, dv = (np.zeros_like(t) if need else None
                          for t, need in zip((a, b, bias, v), needs))
-    for rows in ops.mix_blocks(a.shape[0]):
-        bias_blk = ops.bias_rows(bias, rows)
-        gates = ops.sigmoid_gates(a[rows], b, bias_blk)
+    b_f = np.asfortranarray(b) if needs[0] else None
+    for rows, gates in ops.gate_blocks(a, b, bias):
         if needs[3]:
             dv += gates.T @ g[rows]
         if any(needs[:3]):
-            ca, cb, cbias = _sigmoid_gates_vjp(g[rows] @ v.T, gates, needs[:3],
-                                               a[rows], b, bias_blk)
-            if needs[0]:
-                da[rows] = ca
-            if needs[1]:
-                db += cb
+            t = g[rows] @ v.T
+            t *= gates
+            t *= 1.0 - gates
             if needs[2]:
-                ops.bias_rows(dbias, rows)[...] += cbias
+                blk = dbias if bias.shape[0] == 1 else dbias[rows]
+                blk += _unbroadcast(t, blk.shape)
+            t *= 1.0 / math.sqrt(a.shape[1])
+            if needs[0]:
+                da[rows] = t @ b_f
+            if needs[1]:
+                db += (a[rows].T @ t).T
     return da, db, dbias, dv
 
 

@@ -371,86 +371,69 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-# elements per row block of the gate passes: 512 KB, so a block stays in L2
-# through all of them
+# rows of a per gate block.  A multiple of 8: OpenBLAS rounds blocks of 1, 2
+# or 5 rows apart from the same rows of the whole product, and blocks of 8 to
+# 128 rows alike.  64 rows of 12,544 pixels is 6.4 MB.
+_MIX_ROWS = 64
+# elements per chunk of the scale, bias and sigmoid passes: 512 KB, so a
+# chunk stays in L2 through all of them
 _GATE_BLOCK = 1 << 16
 
 
-def _gate_operands(a, b, bias, label: str) -> tuple:
-    """a [m,d], b [n,d] and a bias that broadcasts to [m,n] without growing
-    it, as float64 arrays."""
-    a = as_tensor(a, "gates lhs")
-    b = as_tensor(b, "gates rhs")
-    bias = as_tensor(bias, "gates bias")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise InvalidArgumentError(
-            f"{label}: expected [m,d] and [n,d], got {a.shape} and {b.shape}")
-    shape = (a.shape[0], b.shape[0])
-    if bias.ndim != 2 or any(e not in (1, full) for e, full in zip(bias.shape, shape)):
-        raise InvalidArgumentError(
-            f"{label}: bias shape {bias.shape} does not broadcast to {shape}")
-    return a, b, bias
+def gate_blocks(a: np.ndarray, b: np.ndarray, bias: np.ndarray):
+    """Yield (rows, gates) for each fixed 64-row block of the attention gates
+    sigmoid(a @ b^T / sqrt(d) + bias), for float64 arrays a [m,d], b [n,d]
+    and a bias of [m,1], [1,n] or [m,n], as :func:`gated_mix` checks them.
 
-
-def bias_rows(bias: np.ndarray, rows: slice) -> np.ndarray:
-    """The rows of a gate bias that score rows ``rows``: one [1,n] bias
-    serves every row."""
-    return bias if bias.shape[0] == 1 else bias[rows]
-
-
-def sigmoid_gates(a, b, bias) -> np.ndarray:
-    """Attention gates sigmoid(a @ b^T / sqrt(d) + bias) for a [m,d] and
-    b [n,d], built in the one owned [m,n] buffer that the product allocates.
-
-    The product is one BLAS call; the scale, bias and sigmoid passes then
-    run one row block at a time, so each block stays in cache through all
-    of them, and one block-sized numerator serves every block.  bias
-    broadcasts against [m,n] without growing it: [m,1] is one scalar per
-    row, [1,n] one per column.  Every pass after the product is
-    elementwise, so the result equals the composition matmul -> scale ->
-    add -> sigmoid bit for bit.
+    Every block is built in one reused [64,n] buffer, so ``gates`` holds only
+    until the next block is drawn.  The product is one BLAS call; the scale,
+    bias and sigmoid passes then run one cache-sized chunk of rows at a time,
+    and every pass after the product is elementwise, so the gates equal the
+    composition matmul -> scale -> add -> sigmoid bit for bit.
     """
-    a, b, bias = _gate_operands(a, b, bias, "sigmoid_gates")
-    m, d = a.shape
-    n = b.shape[0]
-    _tally(m * d * n)
-    g = a @ b.T.copy()
+    (m, d), n = a.shape, b.shape[0]
     scale = 1.0 / math.sqrt(d)
-    rows = max(1, _GATE_BLOCK // max(n, 1))
-    num = np.empty((min(rows, m), n))
-    for r in range(0, m, rows):
-        blk = g[r:r + rows]
-        blk *= scale
-        blk += bias_rows(bias, slice(r, r + rows))
-        _sigmoid_into(blk, num[:len(blk)])
-    return g
-
-
-# rows of a per block of gated_mix.  A multiple of 8: OpenBLAS rounds blocks
-# of 1, 2 or 5 rows apart from the same rows of the whole products, and
-# blocks of 8 to 128 rows alike.  64 rows of 12,544 pixels is 6.4 MB.
-_MIX_ROWS = 64
-
-
-def mix_blocks(m: int):
-    """The row slices of gated_mix's blocks, in order."""
-    return [slice(r, r + _MIX_ROWS) for r in range(0, m, _MIX_ROWS)]
+    chunk = max(1, _GATE_BLOCK // max(n, 1))
+    buf = np.empty((min(_MIX_ROWS, m), n))
+    for r0 in range(0, m, _MIX_ROWS):
+        rows = slice(r0, r0 + _MIX_ROWS)
+        gates = buf[:min(_MIX_ROWS, m - r0)]
+        # b^T per block: hoisted, it would be alive beside the numerator
+        np.matmul(a[rows], b.T.copy(), out=gates)
+        num = np.empty((min(chunk, len(gates)), n))
+        for r in range(0, len(gates), chunk):
+            blk = gates[r:r + chunk]
+            blk *= scale
+            blk += bias if bias.shape[0] == 1 else bias[r0 + r:r0 + r + len(blk)]
+            _sigmoid_into(blk, num[:len(blk)])
+        del num     # freed before the caller works on the block
+        yield rows, gates
 
 
 def gated_mix(a, b, bias, v) -> np.ndarray:
-    """sigmoid_gates(a, b, bias) @ v for a [m,d], b [n,d] and v [n,d_v],
-    one fixed block of a's rows at a time, so at most a [64,n] block of
-    gates is ever held.  bias is [m,1], [1,n] or [m,n], as for
-    sigmoid_gates.  MACs are tallied as the composition tallies them:
-    m*d*n for the gates, m*n*d_v for the product."""
-    a, b, bias = _gate_operands(a, b, bias, "gated_mix")
+    """sigmoid(a @ b^T / sqrt(d) + bias) @ v for a [m,d], b [n,d] and
+    v [n,d_v], one :func:`gate_blocks` block at a time, so at most a [64,n]
+    block of gates is ever held.  bias broadcasts against [m,n] without
+    growing it: [m,1] is one scalar per row, [1,n] one per column.  MACs are
+    tallied as the composition tallies them: m*d*n for the gates, m*n*d_v
+    for the product."""
+    a = as_tensor(a, "gated_mix lhs")
+    b = as_tensor(b, "gated_mix rhs")
+    bias = as_tensor(bias, "gated_mix bias")
     v = as_tensor(v, "gated_mix values")
-    if v.ndim != 2 or v.shape[0] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise InvalidArgumentError(
-            f"gated_mix: values shape {v.shape} is not [{b.shape[0]},d_v]")
-    out = np.empty((a.shape[0], v.shape[1]))
-    for rows in mix_blocks(a.shape[0]):
-        out[rows] = matmul(sigmoid_gates(a[rows], b, bias_rows(bias, rows)), v)
+            f"gated_mix: expected [m,d] and [n,d], got {a.shape} and {b.shape}")
+    (m, d), n = a.shape, b.shape[0]
+    if bias.ndim != 2 or any(e not in (1, full) for e, full in zip(bias.shape, (m, n))):
+        raise InvalidArgumentError(
+            f"gated_mix: bias shape {bias.shape} does not broadcast to {(m, n)}")
+    if v.ndim != 2 or v.shape[0] != n:
+        raise InvalidArgumentError(f"gated_mix: values shape {v.shape} is not [{n},d_v]")
+    _tally(m * d * n + m * n * v.shape[1])
+    out = np.empty((m, v.shape[1]))
+    for rows, gates in gate_blocks(a, b, bias):
+        out[rows] = gates @ v
     return out
 
 

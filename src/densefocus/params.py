@@ -25,13 +25,18 @@ from .rng import Rng
 
 
 def seeded_uniform(seed: int, name: str, shape: tuple, fan_in: int) -> np.ndarray:
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] tensor on a per-name stream."""
+    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] tensor on a per-name stream;
+    a shape numpy cannot allocate raises InvalidArgumentError."""
     if fan_in < 1:
         raise InvalidArgumentError(f"seeded_uniform: fan_in must be >= 1, got {fan_in}")
     bound = 1.0 / math.sqrt(fan_in)
-    draws = Rng(seed).derive(name).randoms(math.prod(shape))
-    # lo + (hi - lo) * r, as Rng.uniform(-bound, bound) computes it
-    return (-bound + (bound - -bound) * draws).reshape(shape)
+    try:
+        draws = Rng(seed).derive(name).randoms(math.prod(shape))
+        # lo + (hi - lo) * r, as Rng.uniform(-bound, bound) computes it
+        return (-bound + (bound - -bound) * draws).reshape(shape)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidArgumentError(
+            f"seeded_uniform: cannot allocate {name} of shape {shape} ({exc})") from exc
 
 
 def tree_leaves(tree) -> list:

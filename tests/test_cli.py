@@ -513,3 +513,21 @@ def test_extents_numpy_cannot_allocate_exit_2(tmp_path, capsys):
     spec.write_text(json.dumps({"width": 10 ** 400, "height": 32, "n_clusters": 1}))
     assert run("synth", "--spec", str(spec), "--out-dir", str(out)) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,field", [("calibrate", "c_mid"), ("dafm", "embed"),
+                                           ("dafm", "dw_kernel"), ("dffm", "sa_kernel")])
+def test_parameter_sizes_numpy_cannot_allocate_exit_2(tmp_path, capsys, command, field):
+    """A params-file size whose tensor numpy refuses before it allocates
+    anything (more than 2**63 bytes) exits 2; odd, so kernels pass their rule."""
+    feats, density = tmp_path / "x.drmt", tmp_path / "d.drmt"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"seed": 2, field: 10 ** 20 + 1}))
+    inputs = [] if command == "calibrate" else ["--features", str(feats)]
+    out = tmp_path / "o.drmt"
+    assert run(command, *inputs, "--density", str(density), "--params", str(params),
+               "--out", str(out)) == 2
+    assert "seeded_uniform: cannot allocate" in capsys.readouterr().err
+    assert not out.exists()

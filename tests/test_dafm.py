@@ -114,98 +114,77 @@ def test_stage_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# the fused gate op behind both stages
+# the sigmoid gates behind both stages
+
+def composed_mix(a, b, bias, v):
+    """The unfused composition that ad.gated_mix stands for."""
+    return ad.matmul(ad.sigmoid(ad.add(ad.scale(ad.matmul(a, ad.transpose2d(b)),
+                                                1.0 / math.sqrt(np.shape(a)[1])), bias)), v)
+
+
+def mix_point(seed, tag, m, n, d, bias_shape):
+    """a, b, bias and v of one gated_mix call, plus a weight for its output."""
+    bias = {"row": (m, 1), "column": (1, n), "full": (m, n)}[bias_shape]
+    return ([u(seed, f"{tag}.a", (m, d), 1), u(seed, f"{tag}.b", (n, d), 1),
+             u(seed, f"{tag}.bias", bias, 1), u(seed, f"{tag}.v", (n, d), 1)],
+            u(seed, f"{tag}.w", (m, d), 1))
+
+
+def weighted_grads(mix, args, w):
+    """The output and the cotangent of each Var in ``args``, for
+    sum(mix(*args) * w)."""
+    out = ad.sum_all(ad.multiply(mix(*args), w))
+    ad.backward(out)
+    return [out.value] + [arg.grad for arg in args if isinstance(arg, ad.Var)]
+
 
 @pytest.mark.parametrize("bias_shape", ["row", "column"])
 def test_sigmoid_gates_grad_check(bias_shape):
-    m, n, d = 5, 3, 4
     for seed in (1, 2, 3):
-        a = 3.0 * u(seed, "gg.a", (m, d), 1)
-        b = 3.0 * u(seed, "gg.b", (n, d), 1)
-        bias = u(seed, "gg.bias", (m, 1) if bias_shape == "row" else (1, n), 1)
-        w = u(seed, "gg.w", (m, n), 1)
-
-        def f(aa, bb, cc):
-            return ad.sum_all(ad.multiply(ad.sigmoid_gates(aa, bb, cc), w))
-        assert ad.grad_check(f, [a, b, bias], eps=1e-6) < 1e-5
+        point, w = mix_point(seed, "gg", 5, 3, 4, bias_shape)
+        point[0] *= 3.0
+        point[1] *= 3.0
+        assert ad.grad_check(lambda *args: ad.sum_all(ad.multiply(ad.gated_mix(*args), w)),
+                             point, eps=1e-6) < 1e-5
 
 
-@pytest.mark.parametrize("m,n,d,bias_shape", [(36, 400, 4, "row"), (400, 36, 4, "column")])
+@pytest.mark.parametrize("m,n,d,bias_shape", [(36, 400, 4, "row"), (64, 36, 4, "column")])
 def test_sigmoid_gates_gradients_equal_composition_bits(m, n, d, bias_shape):
-    # the shapes of both stages at a 20x20 input with C=4 and 36 agents
-    a = u(4, "gc.a", (m, d), 1)
-    b = u(5, "gc.b", (n, d), 1)
-    bias = u(6, "gc.bias", (m, 1) if bias_shape == "row" else (1, n), 1)
-    w = u(7, "gc.w", (m, n), 1)
-
-    def grads(gates):
-        leaves = [ad.Var(a), ad.Var(b), ad.Var(bias)]
-        out = ad.sum_all(ad.multiply(gates(*leaves), w))
-        ad.backward(out)
-        return [out.value] + [leaf.grad for leaf in leaves]
-
-    fused = grads(ad.sigmoid_gates)
-    composed = grads(lambda aa, bb, cc: ad.sigmoid(ad.add(
-        ad.scale(ad.matmul(aa, ad.transpose2d(bb)), 1.0 / math.sqrt(d)), cc)))
+    # the shapes of both stages at a 20x20 input with C=4 and 36 agents, with
+    # stage 2's 400 pixels cut to one block of 64
+    point, w = mix_point(4, "gc", m, n, d, bias_shape)
+    fused = weighted_grads(ad.gated_mix, [ad.Var(p) for p in point], w)
+    composed = weighted_grads(composed_mix, [ad.Var(p) for p in point], w)
     for got, ref in zip(fused, composed):
         assert np.array_equal(got, ref)
 
 
 def test_sigmoid_gates_full_bias_and_single_var_gradients_keep_bits():
     # a full [m,n] bias takes its cotangent before the in-place 1/sqrt(d)
-    # scale; a lone Var argument gets the same bits as with all three
-    m, n, d = 30, 7, 4
-    a = u(11, "gf.a", (m, d), 1)
-    b = u(12, "gf.b", (n, d), 1)
-    bias = u(13, "gf.bias", (m, n), 1)
-    w = u(14, "gf.w", (m, n), 1)
-
-    def grads(gates, point):
-        out = ad.sum_all(ad.multiply(gates(*point), w))
-        ad.backward(out)
-        return [p.grad for p in point if isinstance(p, ad.Var)]
-
-    def composed(aa, bb, cc):
-        return ad.sigmoid(ad.add(
-            ad.scale(ad.matmul(aa, ad.transpose2d(bb)), 1.0 / math.sqrt(d)), cc))
-
-    leaves = [ad.Var(a), ad.Var(b), ad.Var(bias)]
-    fused = grads(ad.sigmoid_gates, leaves)
-    for got, ref in zip(fused, grads(composed, [ad.Var(v) for v in (a, b, bias)])):
+    # scale; a lone Var argument gets the same bits as with all four
+    point, w = mix_point(11, "gf", 30, 7, 4, "full")
+    fused = weighted_grads(ad.gated_mix, [ad.Var(p) for p in point], w)
+    composed = weighted_grads(composed_mix, [ad.Var(p) for p in point], w)
+    for got, ref in zip(fused, composed):
         assert np.array_equal(got, ref)
-    for i in range(3):
-        point = [leaves[j] if j == i else v for j, v in enumerate((a, b, bias))]
-        assert np.array_equal(grads(ad.sigmoid_gates, point)[0], fused[i])
+    for i in range(4):
+        lone = [ad.Var(p) if j == i else p for j, p in enumerate(point)]
+        assert np.array_equal(weighted_grads(ad.gated_mix, lone, w)[1], fused[i + 1])
 
 
-def test_sigmoid_gates_peak_memory_is_two_gate_buffers():
-    m, n, d = 2000, 256, 16
-    a = u(8, "gp.a", (m, d), 1)
-    b = u(9, "gp.b", (n, d), 1)
-    bias = u(10, "gp.bias", (1, n), 1)
+def test_gated_mix_peak_memory_is_one_gate_block():
+    # the stage-1 shape at 112x112, C=16: 256 agents over 12,544 pixels.  One
+    # [64,n] gate block and one b^T copy are alive at once; two blocks are not
+    m, n, d = 256, 12544, 16
+    point, _ = mix_point(8, "gp", m, n, d, "row")
     tracemalloc.start()
     try:
-        gates = ad.sigmoid_gates(a, b, bias)
+        out = ops.gated_mix(*point)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gates.shape == (m, n)
-    assert peak <= 2.5 * m * n * 8
-
-
-def test_sigmoid_gates_peak_memory_is_one_gate_buffer():
-    m, n, d = 8000, 256, 16
-    a = u(11, "gp1.a", (m, d), 1)
-    b = u(12, "gp1.b", (n, d), 1)
-    bias = u(13, "gp1.bias", (m, 1), 1)
-    tracemalloc.start()
-    try:
-        gates = ad.sigmoid_gates(a, b, bias)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert gates.shape == (m, n)
-    assert peak <= 1.1 * m * n * 8
+    assert out.shape == (m, d)
+    assert peak <= 1.1 * (ops._MIX_ROWS * n + d * n) * 8
 
 
 def rel_err(got, ref):
@@ -226,22 +205,18 @@ def test_gated_mix_matches_composition(m, n, d, dv, bias_shape):
              u(seed, "mix.v", (n, dv), 1)]
     w = u(seed, "mix.w", (m, dv), 1)
 
-    def composed(a, b, bias, v):
-        return ad.matmul(ad.sigmoid_gates(a, b, bias), v)
-
     def grads(mix, args):
-        ad.backward(ad.sum_all(ad.multiply(mix(*args), w)))
-        return [arg.grad for arg in args if isinstance(arg, ad.Var)]
+        return weighted_grads(mix, args, w)[1:]
 
     got = ad.gated_mix(*point)
     assert got.tobytes() == ad.gated_mix(*point).tobytes()
-    assert rel_err(got, composed(*point)) <= 1e-13
+    assert rel_err(got, composed_mix(*point)) <= 1e-13
     with ops.count_macs() as counter:
         ad.gated_mix(*point)
     assert counter.macs == m * d * n + m * n * dv
 
     mixed = grads(ad.gated_mix, [ad.Var(p) for p in point])
-    for got_grad, ref in zip(mixed, grads(composed, [ad.Var(p) for p in point])):
+    for got_grad, ref in zip(mixed, grads(composed_mix, [ad.Var(p) for p in point])):
         assert rel_err(got_grad, ref) <= 1e-12
     for i in range(4):
         lone = [ad.Var(p) if j == i else p for j, p in enumerate(point)]

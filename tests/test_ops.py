@@ -354,6 +354,26 @@ def test_sigmoid_bit_exact_vs_where_formula():
         assert_same_bits(ops.sigmoid(scalar), where_sigmoid(np.asarray(scalar)))
 
 
+def stacked_gates(a, b, bias):
+    """ops.gate_blocks' blocks, copied out of its reused buffer and stacked;
+    each block must be the next _MIX_ROWS rows."""
+    blocks = []
+    for rows, gates in ops.gate_blocks(a, b, bias):
+        start = ops._MIX_ROWS * len(blocks)
+        assert rows == slice(start, start + ops._MIX_ROWS)
+        blocks.append(gates.copy())
+    return np.concatenate(blocks)
+
+
+def composed_gates(a, b, bias):
+    """where_sigmoid(a @ b^T / sqrt(d) + bias), with the product taken one
+    block of rows at a time as gate_blocks takes it: BLAS may round a ragged
+    block's rows apart from the same rows of the whole product."""
+    prod = np.concatenate([a[r:r + ops._MIX_ROWS] @ b.T.copy()
+                           for r in range(0, a.shape[0], ops._MIX_ROWS)])
+    return where_sigmoid(prod * (1.0 / math.sqrt(a.shape[1])) + bias)
+
+
 def test_sigmoid_gates_bit_exact_vs_composition():
     m, n, d = 21, 14, 5
     a = 6.0 * u(32, "gate.a", (m, d), 1)
@@ -361,16 +381,14 @@ def test_sigmoid_gates_bit_exact_vs_composition():
     a[:len(SPECIALS)] = 0.0                 # these rows score bias alone
     for bias in (np.resize(SPECIALS, (m, 1)),
                  u(34, "gate.bc", (1, n), 1), u(35, "gate.bf", (m, n), 1)):
-        ref = where_sigmoid(a @ b.T.copy() * (1.0 / math.sqrt(d)) + bias)
-        assert_same_bits(ops.sigmoid_gates(a, b, bias), ref)
+        assert_same_bits(stacked_gates(a, b, bias), composed_gates(a, b, bias))
     # non-contiguous operands of every kind
     big_a = 6.0 * u(36, "gate.ba", (2 * m, d + 3), 1)
     a_nc, b_nc = big_a[::2, 1:d + 1], (6.0 * u(37, "gate.bb", (d, n), 1)).T
     bias_nc = u(38, "gate.bn", (n, 2), 1).T[:1]
     assert not (a_nc.flags.c_contiguous or b_nc.flags.c_contiguous
                 or bias_nc.flags.c_contiguous)
-    ref = where_sigmoid(a_nc @ b_nc.T.copy() * (1.0 / math.sqrt(d)) + bias_nc)
-    assert_same_bits(ops.sigmoid_gates(a_nc, b_nc, bias_nc), ref)
+    assert_same_bits(stacked_gates(a_nc, b_nc, bias_nc), composed_gates(a_nc, b_nc, bias_nc))
 
 
 def strided(x):
@@ -380,9 +398,11 @@ def strided(x):
     return view
 
 
-# (n, m): three full row blocks and a ragged fourth; then n above the block
-# size, so that every block is a single row
-GATE_BLOCK_SHAPES = [(300, 3 * (ops._GATE_BLOCK // 300) + 50),
+# (n, m): at n = 300 a chunk (218 rows) outgrows a block, so each of 11 whole
+# blocks is one chunk; at n = 3,000, chunks of 21 rows in two whole blocks and
+# a ragged third; then n above the chunk size, so that every chunk of one
+# ragged block is a single row
+GATE_BLOCK_SHAPES = [(300, 11 * ops._MIX_ROWS), (3000, 2 * ops._MIX_ROWS + 50),
                      (ops._GATE_BLOCK + 5, 2 + len(SPECIALS))]
 
 
@@ -391,15 +411,16 @@ GATE_BLOCK_SHAPES = [(300, 3 * (ops._GATE_BLOCK // 300) + 50),
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, strided])
 def test_sigmoid_gates_bit_exact_across_row_blocks(n, m, bias_shape, layout):
     d = 5
-    rows = max(1, ops._GATE_BLOCK // n)
-    assert -(-m // rows) >= 3 and (m % rows or rows == 1)
+    # specials from the second chunk of the second block, or of the only
+    # block; where a block is one chunk, from the third block's first row.
+    # These rows score the bias alone
+    r0 = ops._MIX_ROWS * (m > ops._MIX_ROWS) + min(max(1, ops._GATE_BLOCK // n), ops._MIX_ROWS)
+    assert r0 + len(SPECIALS) <= m
     # a prime-length seeded run, tiled, keeps the pure-Python fill short
     a, b, bias = (np.resize(u(45 + i, f"gb.{i}", (4099,), 1), shape) for i, shape in enumerate(
         [(m, d), (n, d), {"m1": (m, 1), "1n": (1, n), "mn": (m, n)}[bias_shape]]))
     a *= 6.0
     b *= 6.0
-    # specials in the second block: rows whose score is the bias alone
-    r0 = rows
     a[r0:r0 + len(SPECIALS)] = 0.0
     if bias_shape == "m1":
         bias[r0:r0 + len(SPECIALS), 0] = SPECIALS
@@ -407,20 +428,20 @@ def test_sigmoid_gates_bit_exact_across_row_blocks(n, m, bias_shape, layout):
         bias[0, 3:3 + len(SPECIALS)] = SPECIALS
     else:
         bias[r0:r0 + len(SPECIALS), 0] = SPECIALS
-        bias[-1, -len(SPECIALS):] = SPECIALS        # last, ragged block
+        bias[-1, -len(SPECIALS):] = SPECIALS        # last block
     a, b, bias = layout(a), layout(b), layout(bias)
-    ref = where_sigmoid(a @ b.T.copy() * (1.0 / math.sqrt(d)) + bias)
-    assert_same_bits(ops.sigmoid_gates(a, b, bias), ref)
+    assert_same_bits(stacked_gates(a, b, bias), composed_gates(a, b, bias))
 
 
 def test_sigmoid_kernels_do_not_write_into_arguments():
     x = np.concatenate([SPECIALS, u(39, "sig.w", (50,), 1)])
     a, b, bias = u(40, "gw.a", (7, 3), 1), u(41, "gw.b", (5, 3), 1), u(42, "gw.c", (7, 1), 1)
-    before = [v.copy() for v in (x, a, b, bias)]
+    v = u(43, "gw.v", (5, 2), 1)
+    before = [t.copy() for t in (x, a, b, bias, v)]
     ops.sigmoid(x)
-    ops.sigmoid_gates(a, b, bias)
-    for v, kept in zip((x, a, b, bias), before):
-        assert_same_bits(v, kept)
+    ops.gated_mix(a, b, bias, v)
+    for t, kept in zip((x, a, b, bias, v), before):
+        assert_same_bits(t, kept)
 
 
 def window_loop_avg_pool_vjp(g, x_shape, k):
@@ -454,31 +475,20 @@ def test_avg_pool_vjp_bit_exact_vs_window_loop(shape, k):
         assert_same_bits(ad.vjp(y, g, [x])[0], window_loop_avg_pool_vjp(g, shape, k))
 
 
-def test_sigmoid_gates_macs_and_validation():
-    m, n, d = 9, 6, 4
-    a, b = u(43, "gm.a", (m, d), 1), u(44, "gm.b", (n, d), 1)
-    with ops.count_macs() as counter:
-        ops.sigmoid_gates(a, b, np.zeros((1, n)))
-    assert counter.macs == m * n * d
-    assert ops.sigmoid_gates(a, b[:0], np.zeros((1, 1))).shape == (m, 0)
-    for bad_a, bad_b, bad_bias in [(a, b[:, :3], np.zeros((1, n))),
-                                   (a[0], b, np.zeros((1, n))),
-                                   (a, b, np.zeros(n)),
-                                   (a, b, np.zeros((m + 1, 1))),
-                                   (a, b, np.zeros((1, n, 1)))]:
-        with pytest.raises(InvalidArgumentError):
-            ops.sigmoid_gates(bad_a, bad_b, bad_bias)
-
-
 def test_gated_mix_validation():
     # 128 rows are two whole blocks: a bias one row too long would still give
     # each block a bias of the block's own height
     m, n, d = 128, 6, 4
     a, b, v = u(45, "gx.a", (m, d), 1), u(46, "gx.b", (n, d), 1), u(47, "gx.v", (n, 3), 1)
     row, col = np.zeros((m, 1)), np.zeros((1, n))
+    with ops.count_macs() as counter:
+        ops.gated_mix(a, b, col, v)
+    assert counter.macs == m * d * n + m * n * 3
     assert ops.gated_mix(a[:0], b, col, v).shape == (0, 3)
+    assert_same_bits(ops.gated_mix(a, b[:0], np.zeros((1, 1)), v[:0]), np.zeros((m, 3)))
     for bad in [(a, b, np.zeros((m + 1, 1)), v), (a, b, row, v[:5]), (a, b, row, v[0]),
-                (a, b[:, :3], row, v), (a[0], b, col, v), (a, b, np.zeros(n), v)]:
+                (a, b[:, :3], row, v), (a[0], b, col, v), (a, b, np.zeros(n), v),
+                (a, b, np.zeros((1, n, 1)), v)]:
         with pytest.raises(InvalidArgumentError):
             ops.gated_mix(*bad)
 
