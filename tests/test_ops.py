@@ -486,11 +486,28 @@ def test_gated_mix_validation():
     assert counter.macs == m * d * n + m * n * 3
     assert ops.gated_mix(a[:0], b, col, v).shape == (0, 3)
     assert_same_bits(ops.gated_mix(a, b[:0], np.zeros((1, 1)), v[:0]), np.zeros((m, 3)))
-    for bad in [(a, b, np.zeros((m + 1, 1)), v), (a, b, row, v[:5]), (a, b, row, v[0]),
-                (a, b[:, :3], row, v), (a[0], b, col, v), (a, b, np.zeros(n), v),
-                (a, b, np.zeros((1, n, 1)), v)]:
+    for bad in [(a, b, np.zeros((m + 1, 1)), v), (a, b, row, v[:5]), (a, b, row, v[0])]:
         with pytest.raises(InvalidArgumentError):
             ops.gated_mix(*bad)
+
+
+def test_sigmoid_gates_macs_and_validation():
+    # the gate stage of gated_mix: with no value columns only the gates
+    # are tallied, and every bad gate operand is refused
+    m, n, d = 9, 6, 4
+    a, b = u(43, "gm.a", (m, d), 1), u(44, "gm.b", (n, d), 1)
+    v = np.zeros((n, 0))
+    with ops.count_macs() as counter:
+        ops.gated_mix(a, b, np.zeros((1, n)), v)
+    assert counter.macs == m * n * d
+    assert stacked_gates(a, b[:0], np.zeros((1, 1))).shape == (m, 0)
+    for bad_a, bad_b, bad_bias in [(a, b[:, :3], np.zeros((1, n))),
+                                   (a[0], b, np.zeros((1, n))),
+                                   (a, b, np.zeros(n)),
+                                   (a, b, np.zeros((m + 1, 1))),
+                                   (a, b, np.zeros((1, n, 1)))]:
+        with pytest.raises(InvalidArgumentError):
+            ops.gated_mix(bad_a, bad_b, bad_bias, v)
 
 
 def test_relu():
