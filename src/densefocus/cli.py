@@ -142,13 +142,12 @@ def cmd_dafm(args) -> int:
     seed = _resolve_seed(args, doc)
     x = require_chw(read_tensor(args.features), "dafm features")
     d = _read_density(args.density)
-    bank = _set_fields(doc, {"bank_kernel": num_value})
-    n_agents = expected_agents(x.shape[1], x.shape[2], **bank)
+    n_agents = expected_agents(x.shape[1], x.shape[2])
     embed = num_value("embed", doc.get("embed", x.shape[0]))
     params = dafm_params(x.shape[0], embed, n_agents, seed,
                          **_set_fields(doc, {"dw_kernel": num_value}))
     out, inter = dafm_forward(
-        x, d, params, return_intermediates=True, **bank,
+        x, d, params, return_intermediates=True,
         **_set_fields(doc, {"thresh_mode": lambda key, value: value,
                             "thresh_value": real_value}))
     require_finite(out, "dafm output")

@@ -4,7 +4,9 @@ Instead of full pairwise attention over all H*W pixels, a small bank of
 agent vectors (pooled from the density-selected regions) mediates two
 sigmoid-gated stages: agents gather from all pixels (forward stage), then
 pixels read back from the agents (backward stage).  Cost is linear in the
-pixel count for a fixed bank size.  Each stage is one ``gated_mix``, which
+pixel count because the bank size is fixed: the masked features are pooled
+to a grid of at most ``AGENT_GRID`` x ``AGENT_GRID`` cells at any image
+size, so there are at most 49 agents.  Each stage is one ``gated_mix``, which
 builds its gates one fixed row block at a time and recomputes them block by
 block in the backward, so no L x n gate matrix is ever held whole and the
 memory is linear in the pixel count too.  A depthwise-separable local branch
@@ -26,6 +28,8 @@ from .errors import InvalidArgumentError
 from .ops import pool_output_extent, require_chw, require_finite
 from .params import seeded_uniform
 from .regions import RegionSet, focus_bank, refine_mask, threshold_mask
+
+AGENT_GRID = 7
 
 
 @dataclass
@@ -163,12 +167,17 @@ def dafm_params(channels: int, embed: int, n_agents: int, seed: int,
     )
 
 
-def expected_agents(h: int, w: int, bank_kernel: int = 7) -> int:
+def bank_kernel(h: int, w: int) -> int:
+    """Pool kernel that gives an H x W map at most AGENT_GRID cells a side."""
+    if min(h, w) < 1:
+        raise InvalidArgumentError(f"bank_kernel: bad size {h}x{w}")
+    return pool_output_extent(max(h, w), AGENT_GRID)
+
+
+def expected_agents(h: int, w: int) -> int:
     """Bank size produced by :func:`dafm_forward` for an H x W input."""
-    if bank_kernel < 1:
-        raise InvalidArgumentError(
-            f"expected_agents: bank_kernel must be >= 1, got {bank_kernel}")
-    return pool_output_extent(h, bank_kernel) * pool_output_extent(w, bank_kernel)
+    k = bank_kernel(h, w)
+    return pool_output_extent(h, k) * pool_output_extent(w, k)
 
 
 @dataclass
@@ -181,8 +190,7 @@ class DafmIntermediates:
 
 
 def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
-                 thresh_value: float = 0.10, bank_kernel: int = 7,
-                 return_intermediates: bool = False):
+                 thresh_value: float = 0.10, return_intermediates: bool = False):
     """Full focused-attention block on [C,H,W] features.
 
     The density prior (any resolution) is resized to the feature grid,
@@ -207,7 +215,7 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
             return local, DafmIntermediates(raw_mask, refined, regions)
         return local
 
-    bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel)
+    bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel(h, w))
     n = math.prod(ad.shape_of(bank)[1:])
     if params.ifam.n_agents != n:
         raise InvalidArgumentError(

@@ -26,8 +26,9 @@ GRADCHECK_TOLERANCE = 1e-5
 
 def dafm_check_point(seed: int):
     """Seeded micro inputs for finite-difference checks of the focused
-    attention block: features, density, parameters, reduction weights."""
-    x = 4.0 * seeded_uniform(seed, "check.dafm.x", (3, 8, 8), 9)
+    attention block: features, density, parameters, reduction weights.  At a
+    feature scale of 4, the finite differences read roundoff at some seeds."""
+    x = 2.0 * seeded_uniform(seed, "check.dafm.x", (3, 8, 8), 9)
     d = np.abs(seeded_uniform(seed, "check.dafm.density", (1, 8, 8), 1))
     w_red = seeded_uniform(seed, "check.dafm.reduce", (3, 8, 8), 1)
     params = dafm_params(3, 3, expected_agents(8, 8), seed)

@@ -1,5 +1,6 @@
 """Measured MAC counts for the attention variants."""
 
+import numpy as np
 import pytest
 
 from densefocus import (Var, count_macs, dafm_forward, dafm_params, dffm_forward,
@@ -71,3 +72,17 @@ def test_mac_count_does_not_depend_on_input_type(forward):
             forward(inp, d)
         counts.append(counter.macs)
     assert counts[0] == counts[1] > 0
+
+
+def test_dafm_macs_per_pixel_stay_flat_from_32_to_256():
+    # the agent bank is pooled to a 7x7 grid at every one of these sizes, so
+    # the whole block, not only its attention pass, costs the same per pixel
+    per_px = []
+    for s in (32, 64, 128, 256):
+        x = seeded_uniform(1, "macs.flat.x", (16, s, s), 16)
+        d = np.zeros((1, s, s))
+        d[0, s // 4:s // 2, s // 8:3 * s // 4] = 1.0
+        with count_macs() as counter:
+            dafm_forward(x, d, dafm_params(16, 16, expected_agents(s, s), 1))
+        per_px.append(counter.macs / (s * s))
+    assert max(per_px) <= 1.02 * min(per_px), per_px

@@ -10,7 +10,7 @@ import pytest
 from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.dafm import (
-    DafmParams, IfamParams, dafm_forward, dafm_params, expected_agents,
+    AGENT_GRID, DafmParams, IfamParams, dafm_forward, dafm_params, expected_agents,
     ifam_params, ifam_stage1, ifam_stage2, project_qkv,
 )
 from densefocus.errors import InvalidArgumentError, NumericError
@@ -28,12 +28,27 @@ def u(seed, name, shape, fan=4):
 # sizing helpers and parameter construction
 
 def test_expected_agents():
-    assert expected_agents(14, 14) == 4
-    assert expected_agents(7, 7) == 1
-    assert expected_agents(8, 8) == 4
-    assert expected_agents(64, 64) == 100
-    assert expected_agents(8, 8, bank_kernel=4) == 4
-    assert expected_agents(32, 32, bank_kernel=7) == 25
+    # the bank kernel is ceil(max(H, W) / 7), so every side has at most 7 cells
+    assert expected_agents(7, 7) == 49
+    assert expected_agents(8, 8) == 16
+    assert expected_agents(14, 14) == 49
+    assert expected_agents(16, 16) == 36
+    assert expected_agents(36, 36) == 36
+    assert expected_agents(8, 3) == 8
+    for s in (32, 64, 112, 128, 256):
+        assert expected_agents(s, s) == 49
+
+
+def test_expected_agents_is_at_most_the_grid():
+    for h in range(1, 301):
+        for w in range(1, 301):
+            assert expected_agents(h, w) <= AGENT_GRID ** 2, (h, w)
+
+
+def test_expected_agents_rejects_non_positive_size():
+    for h, w in ((0, 8), (8, 0), (-1, 8)):
+        with pytest.raises(InvalidArgumentError, match="bad size"):
+            expected_agents(h, w)
 
 
 def test_ifam_params_shapes_and_identity_out():
@@ -234,10 +249,9 @@ def blob_density(h, w, r0, r1, c0, c1):
 
 
 def test_empty_selection_is_exactly_local_branch():
-    params = dafm_params(channels=3, embed=3, n_agents=4, seed=6)
+    params = dafm_params(channels=3, embed=3, n_agents=16, seed=6)
     x = u(6, "da.x", (3, 8, 8))
-    out, inter = dafm_forward(x, np.zeros((1, 8, 8)), params, bank_kernel=4,
-                              return_intermediates=True)
+    out, inter = dafm_forward(x, np.zeros((1, 8, 8)), params, return_intermediates=True)
     local = ad.depthwise_separable_conv(x, params.dw_w, params.pw_w, params.pw_b)
     assert np.array_equal(out, local)
     assert not inter.raw_mask.any()
@@ -248,33 +262,33 @@ def test_empty_selection_is_exactly_local_branch():
 
 @pytest.mark.parametrize("size", [16, 32], ids=["same-grid", "resized"])
 def test_non_finite_density_raises(size):
-    params = dafm_params(channels=3, embed=3, n_agents=16, seed=6)
+    params = dafm_params(channels=3, embed=3, n_agents=36, seed=6)
     x = u(6, "da.nf", (3, 16, 16))
     for bad in (np.nan, np.inf, -np.inf):
         d = np.arange(1.0, size * size + 1.0).reshape(1, size, size)
         d[0, size - 2, size - 2] = bad  # at 32x32 no tap of the resize to 16x16 reads it
         with pytest.raises(NumericError, match="non-finite"):
-            dafm_forward(x, d, params, bank_kernel=4)
+            dafm_forward(x, d, params)
     with pytest.raises(NumericError, match="non-finite"):
-        dafm_forward(x, np.full((1, size, size), np.nan), params, bank_kernel=4)
+        dafm_forward(x, np.full((1, size, size), np.nan), params)
 
 
 def test_agent_count_mismatch_error():
     params = dafm_params(channels=3, embed=3, n_agents=9, seed=6)
     x = u(6, "da.x2", (3, 8, 8))
     with pytest.raises(InvalidArgumentError):
-        dafm_forward(x, blob_density(8, 8, 2, 5, 2, 5), params, bank_kernel=4)
+        dafm_forward(x, blob_density(8, 8, 2, 5, 2, 5), params)
 
 
 def test_full_forward_matches_numpy_composition():
-    c, h, w, embed, kernel = 3, 8, 8, 2, 4
-    n = expected_agents(h, w, kernel)
+    c, h, w, embed = 3, 8, 8, 2
+    kernel = math.ceil(max(h, w) / AGENT_GRID)
+    n = expected_agents(h, w)
     params = dafm_params(c, embed, n, seed=7)
     x = u(7, "da.full.x", (c, h, w))
     density = blob_density(h, w, 1, 4, 4, 8)
     got, inter = dafm_forward(x, density, params, thresh_mode="quantile",
-                              thresh_value=0.10, bank_kernel=kernel,
-                              return_intermediates=True)
+                              thresh_value=0.10, return_intermediates=True)
 
     raw = threshold_mask(density, "quantile", 0.10)
     refined, regions = refine_mask(raw)
@@ -301,34 +315,32 @@ def test_full_forward_matches_numpy_composition():
 
 
 def test_density_is_resized_to_feature_grid():
-    params = dafm_params(channels=2, embed=2, n_agents=4, seed=8)
+    params = dafm_params(channels=2, embed=2, n_agents=16, seed=8)
     x = u(8, "da.rs.x", (2, 8, 8))
     coarse = blob_density(4, 4, 0, 2, 0, 2)  # quarter-resolution prior
-    out, inter = dafm_forward(x, coarse, params, bank_kernel=4,
-                              return_intermediates=True)
+    out, inter = dafm_forward(x, coarse, params, return_intermediates=True)
     assert inter.raw_mask.shape == (1, 8, 8)
     assert out.shape == (2, 8, 8)
 
 
 def test_var_input_matches_plain_forward():
-    params = dafm_params(channels=2, embed=2, n_agents=4, seed=9)
+    params = dafm_params(channels=2, embed=2, n_agents=16, seed=9)
     x = u(9, "da.var.x", (2, 8, 8))
     density = blob_density(8, 8, 3, 6, 1, 5)
-    plain = dafm_forward(x, density, params, bank_kernel=4)
-    graph = dafm_forward(ad.Var(x), density, params, bank_kernel=4)
+    plain = dafm_forward(x, density, params)
+    graph = dafm_forward(ad.Var(x), density, params)
     assert isinstance(graph, ad.Var)
     assert np.array_equal(graph.value, plain)
 
 
 def test_var_density_is_read_by_value():
-    params = dafm_params(channels=2, embed=2, n_agents=4, seed=9)
+    params = dafm_params(channels=2, embed=2, n_agents=16, seed=9)
     x = u(9, "da.var.x", (2, 8, 8))
     density = blob_density(8, 8, 3, 6, 1, 5)
-    plain, inter = dafm_forward(x, density, params, bank_kernel=4,
-                                return_intermediates=True)
+    plain, inter = dafm_forward(x, density, params, return_intermediates=True)
     assert inter.regions.rectangles
     x_node, d_node = ad.Var(x), ad.Var(density)
-    graph = dafm_forward(x_node, d_node, params, bank_kernel=4)
+    graph = dafm_forward(x_node, d_node, params)
     assert np.array_equal(graph.value, plain)
     ad.backward(ad.sum_all(ad.multiply(graph, u(9, "da.var.w", (2, 8, 8)))))
     assert d_node.grad is None
@@ -337,7 +349,7 @@ def test_var_density_is_read_by_value():
 
 def dafm_peaks(size):
     """tracemalloc peaks of dafm_forward alone and of it plus its backward, at
-    C=16 with the default 7x7 bank, each over the input's bytes."""
+    C=16 with the 7x7 agent grid, each over the input's bytes."""
     c = 16
     x = u(1, "da.mem.x", (c, size, size), c)
     density = blob_density(size, size, size // 4, size // 2, size // 8, 3 * size // 4)
@@ -357,9 +369,8 @@ def dafm_peaks(size):
 
 
 def test_dafm_peak_memory_is_linear_in_pixels():
-    # 100 agents at 64x64 and 361 at 128x128, whose last stage-1 block is
-    # ragged: the gates are held one fixed row block at a time, so neither
-    # peak grows with the agent count
+    # 49 agents at both sizes, and the gates are held one fixed row block at
+    # a time, so neither peak grows faster than the pixel count
     small, large = dafm_peaks(64), dafm_peaks(128)
     for lo, hi in zip(small, large):
         assert max(lo, hi) <= 1.1 * min(lo, hi), (small, large)
