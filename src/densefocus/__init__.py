@@ -33,7 +33,6 @@ from .evalkit import (IOU_THRESHOLDS, SIZE_BUCKETS, APReport, Detection,
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, read_tensor,
                          save_annotation_file, write_heatmap, write_json, write_tensor)
-from .complexity import measured_global_attention_macs, measured_ifam_macs
 from .train import train_demo
 
 __version__ = "0.1.0"
@@ -69,7 +68,6 @@ __all__ = [
     "SceneSpec", "generate_scene", "perturb_detections",
     "load_annotation_file", "read_tensor", "save_annotation_file",
     "write_heatmap", "write_json", "write_tensor",
-    "measured_global_attention_macs", "measured_ifam_macs",
     "cli_dispatch", "main", "train_demo",
     "__version__",
 ]

@@ -11,8 +11,8 @@ Conventions that the rest of the library leans on:
   implementations reproduce the results bit for bit;
 * the 2-D DCT is the orthonormal type-II transform applied per channel;
 * operations that multiply-accumulate report their work to any active
-  ``count_macs`` context, which is how the attention cost comparisons
-  are measured rather than estimated.
+  ``count_macs`` context, so a cost is counted around the block that runs
+  (``dafm_forward``, say) rather than estimated.
 """
 
 from __future__ import annotations

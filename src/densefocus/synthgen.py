@@ -8,6 +8,8 @@ of small boxes around each, unit-intensity rectangles on a noisy background.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,7 @@ class SceneSpec:
         if not (1 <= slo <= shi):
             raise InvalidArgumentError(
                 f"SceneSpec: bad object_size range {self.object_size}")
-        if self.cluster_spread < 0:
+        if not 0 <= self.cluster_spread < math.inf:
             raise InvalidArgumentError(
                 f"SceneSpec: bad cluster_spread {self.cluster_spread}")
         if shi >= self.width or shi >= self.height:
@@ -54,6 +56,7 @@ class SceneSpec:
 
 
 NOISE_SIGMA = 0.05
+_MAX_MAGNITUDE = sys.float_info.max / 2
 
 
 def generate_scene(spec: SceneSpec, image_id: int = 1):
@@ -81,10 +84,10 @@ def generate_scene(spec: SceneSpec, image_id: int = 1):
             oy = ccy + rng.normal(0.0, spec.cluster_spread)
             bw = rng.randint(size_lo, size_hi)
             bh = rng.randint(size_lo, size_hi)
-            left = int(round(ox - bw / 2.0))
-            top = int(round(oy - bh / 2.0))
-            left = min(max(left, 0), w - bw)
-            top = min(max(top, 0), h - bh)
+            # clamped before rounding, which gives the same integer for a
+            # finite offset and keeps an overflowed (infinite) one in the image
+            left = int(round(min(max(ox - bw / 2.0, 0), w - bw)))
+            top = int(round(min(max(oy - bh / 2.0, 0), h - bh)))
             image[0, top:top + bh, left:left + bw] = 1.0
             annotations.append(BBoxAnnotation(
                 image_id=image_id, category_id=1,
@@ -110,8 +113,11 @@ def perturb_detections(gts, jitter_px: float = 0.0, drop_rate: float = 0.0,
     """
     if not (0.0 <= drop_rate <= 1.0):
         raise InvalidArgumentError(f"perturb_detections: bad drop_rate {drop_rate}")
-    if jitter_px < 0 or score_noise < 0:
-        raise InvalidArgumentError("perturb_detections: negative noise magnitude")
+    for name, value in (("jitter_px", jitter_px), ("score_noise", score_noise)):
+        # the span 2*value of a uniform draw must be finite too
+        if not 0 <= value <= _MAX_MAGNITUDE:
+            raise InvalidArgumentError(
+                f"perturb_detections: {name} must be in [0, {_MAX_MAGNITUDE:g}], got {value!r}")
     rng = Rng(seed)
     dets: list[Detection] = []
     for gt in gts:

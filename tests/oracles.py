@@ -413,6 +413,15 @@ def hand_softmax_rows(m):
     return out
 
 
+def global_attention_macs(h, w, c, d):
+    """Multiply-adds of single-head global self-attention on a [C,H,W] map,
+    counted by hand: q/k/v projections (3 L·C·d), the L x L scores and their
+    mix with the values (2 L²·d), and the output projection (L·d·C).  The
+    library has no global attention; this is the baseline DAFM is held to."""
+    length = h * w
+    return 3 * length * c * d + 2 * length * length * d + length * d * c
+
+
 def hand_calibrate(d, w1, b1, w2, b2):
     mid = naive_conv2d(d, w1, b1, 1, 1)
     mid = np.maximum(mid, 0.0)

@@ -17,8 +17,7 @@ import oracles
 from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.cli import cli_dispatch
-from densefocus.complexity import (measured_global_attention_macs,
-                                   measured_ifam_macs)
+from densefocus.dafm import dafm_forward, dafm_params, expected_agents
 from densefocus.density import BBoxAnnotation, gt_density
 from densefocus.dffm import dffm_forward, dffm_params, frequency_masks
 from densefocus.evalkit import SIZE_BUCKETS, Detection, ap_report
@@ -203,17 +202,27 @@ def test_criterion_05_density_mass():
 # ---------------------------------------------------------------------------
 # 6. compute reduction
 
+def dafm_macs(s, c=32):
+    """Multiply-adds of one dafm_forward on a C x s x s map whose density
+    marks one dense block, at the bank size the block derives."""
+    x = seeded_uniform(1, "accept.macs.x", (c, s, s), c)
+    density = np.zeros((1, s, s))
+    density[0, s // 4:s // 2, s // 8:3 * s // 4] = 1.0
+    params = dafm_params(c, c, expected_agents(s, s), 1)
+    with ops.count_macs() as counter:
+        dafm_forward(x, density, params)
+    return counter.macs
+
+
 def test_criterion_06_compute_reduction():
-    focused = measured_ifam_macs(64, 64, 32, 32, 64)
-    dense = measured_global_attention_macs(64, 64, 32, 32)
-    ratio = focused / dense
+    macs = {s: dafm_macs(s) for s in (32, 64, 128)}
+    ratio = macs[64] / oracles.global_attention_macs(64, 64, 32, 32)
     assert ratio <= 0.25
 
-    per_pixel = [measured_ifam_macs(s, s, 32, 32, 25) / (s * s)
-                 for s in (32, 64, 128)]
+    per_pixel = [m / (s * s) for s, m in macs.items()]
     spread = max(per_pixel) / min(per_pixel)
     assert spread <= 1.05
-    ok(6, f"focused attention needs {100 * ratio:.1f}% of global-attention "
+    ok(6, f"dafm_forward needs {100 * ratio:.1f}% of global-attention "
           f"MACs at 64x64; per-pixel cost varies {100 * (spread - 1):.2f}% "
           f"across 32^2..128^2")
 

@@ -325,7 +325,8 @@ def test_gradcheck_command_exits_4_on_a_nan_gradient(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag", [("--drop", "2"), ("--drop", "-0.5"),
-                                  ("--jitter", "-1"), ("--score-noise", "-0.1")])
+                                  ("--jitter", "-1"), ("--score-noise", "-0.1"),
+                                  ("--jitter", "nan"), ("--score-noise", "inf")])
 def test_synth_bad_detection_flag_writes_nothing(tmp_path, flag, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"width": 24, "height": 24, "n_clusters": 1}))
@@ -403,6 +404,19 @@ def test_scene_spec_faults_exit_3(tmp_path, change, capsys):
     spec.write_text(json.dumps(doc))    # writes the JSON literals NaN/Infinity
     assert run("synth", "--spec", str(spec), "--out-dir", str(tmp_path / "o")) == 3
     assert f"field {next(iter(change))!r}" in capsys.readouterr().err
+
+
+def test_synth_with_a_spread_whose_offsets_overflow_exits_0(tmp_path):
+    # at seed 4 some offsets drawn with a 1e308 spread are infinite; their
+    # boxes clamp to the image like any other offset past its edge
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"width": 32, "height": 32, "n_clusters": 2,
+                                "object_size": [3, 8], "cluster_spread": 1e308,
+                                "seed": 4}))
+    assert run("synth", "--spec", str(spec), "--out-dir", str(tmp_path / "o")) == 0
+    _, anns, _ = load_annotation_file(tmp_path / "o" / "annotations.json")
+    assert anns and all(0 <= a.cx - a.width / 2 and a.cx + a.width / 2 <= 32
+                        for a in anns)
 
 
 def test_exit_code_numeric_errors(tmp_path, capsys):

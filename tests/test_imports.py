@@ -21,3 +21,10 @@ def test_modules_import_only_stdlib_numpy_and_the_package():
     assert len(modules) > 10
     foreign = {p.name: sorted(set(imported_roots(p)) - ALLOWED) for p in modules}
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_every_public_name_resolves():
+    import densefocus
+    missing = [name for name in densefocus.__all__ if not hasattr(densefocus, name)]
+    assert missing == []
+    assert len(set(densefocus.__all__)) == len(densefocus.__all__)

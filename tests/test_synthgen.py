@@ -1,6 +1,7 @@
 """Synthetic scene generator: determinism, geometry, noise model, and the
 detection perturbation stream."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,10 +35,21 @@ def test_scene_spec_validation():
         SceneSpec(64, 64, 1, object_size=(0, 4))
     with pytest.raises(InvalidArgumentError):
         SceneSpec(64, 64, 1, object_size=(6, 4))
-    with pytest.raises(InvalidArgumentError):
-        SceneSpec(64, 64, 1, cluster_spread=-2.0)
+    for spread in (-2.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="cluster_spread"):
+            SceneSpec(64, 64, 1, cluster_spread=spread)
     with pytest.raises(InvalidArgumentError):
         SceneSpec(16, 16, 1, object_size=(4, 16))  # cannot fit
+
+
+def test_an_overflowing_offset_keeps_its_box_inside_the_image():
+    # at seed 4, four of the 24 offsets drawn with a 1e308 spread are infinite
+    image, anns = generate_scene(SceneSpec(32, 32, 2, (6, 6), (3, 8), 1e308, seed=4))
+    assert len(anns) == 12
+    for ann in anns:
+        x, y, w, h = ann.to_xywh()
+        assert 0 <= x <= x + w <= 32 and 0 <= y <= y + h <= 32
+    assert np.isfinite(image).all()
 
 
 def test_extents_numpy_cannot_allocate_raise_invalid_argument():
@@ -237,6 +249,19 @@ def test_perturb_validation():
         perturb_detections([], jitter_px=-1.0)
     with pytest.raises(InvalidArgumentError):
         perturb_detections([], score_noise=-0.5)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), sys.float_info.max])
+@pytest.mark.parametrize("name", ["jitter_px", "score_noise"])
+def test_perturb_refuses_a_magnitude_whose_draws_overflow(name, value):
+    with pytest.raises(InvalidArgumentError, match=name):
+        perturb_detections(scene_gts(), **{name: value})
+
+
+def test_perturb_accepts_the_largest_magnitude_with_finite_draws():
+    dets = perturb_detections(scene_gts(), score_noise=sys.float_info.max / 2, seed=2)
+    scores = [d.score for d in dets]
+    assert 0.0 in scores and 1.0 in scores
 
 
 def test_jittered_scene_evaluates_like_brute_force():
