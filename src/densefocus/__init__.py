@@ -23,8 +23,7 @@ from .density import (BBoxAnnotation, CalibParams, DensityMap, DgbConfig,
                       object_sigma)
 from .regions import RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask
 from .dafm import (DafmIntermediates, DafmParams, IfamParams, dafm_forward,
-                   dafm_params, expected_agents, ifam_forward, ifam_params,
-                   ifam_stage1, ifam_stage2, project_qkv)
+                   dafm_params, expected_agents, ifam_forward, ifam_params)
 from .dffm import (DEFAULT_KERNEL_SET, DffmParams, EdhParams, FrequencyPair,
                    dffm_forward, dffm_params, edh, edh_params, frequency_masks,
                    frequency_split)
@@ -59,7 +58,6 @@ __all__ = [
     "RegionSet", "focus_bank", "kmeans2", "refine_mask", "threshold_mask",
     "DafmIntermediates", "DafmParams", "IfamParams", "dafm_forward",
     "dafm_params", "expected_agents", "ifam_forward", "ifam_params",
-    "ifam_stage1", "ifam_stage2", "project_qkv",
     "DEFAULT_KERNEL_SET", "DffmParams", "EdhParams", "FrequencyPair",
     "dffm_forward", "dffm_params", "edh", "edh_params", "frequency_masks",
     "frequency_split",

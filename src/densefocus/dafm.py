@@ -6,7 +6,8 @@ sigmoid-gated stages: agents gather from all pixels (forward stage), then
 pixels read back from the agents (backward stage).  Cost is linear in the
 pixel count because the bank size is fixed: the masked features are pooled
 to a grid of at most ``AGENT_GRID`` x ``AGENT_GRID`` cells at any image
-size, so there are at most 49 agents.  Each stage is one ``gated_mix``, which
+size, so there are at most 49 agents.  :func:`ifam_forward` holds both
+stages and the agent-count rule.  Each stage is one ``gated_mix``, which
 builds its gates one fixed row block at a time and recomputes them block by
 block in the backward, so no L x n gate matrix is ever held whole and the
 memory is linear in the pixel count too.  A depthwise-separable local branch
@@ -16,7 +17,6 @@ branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,63 +80,30 @@ def ifam_params(channels: int, embed: int, n_agents: int, seed: int) -> IfamPara
     )
 
 
-def project_qkv(x, params: IfamParams):
-    """Project a [C,H,W] map into per-pixel query/key/value rows [H*W, d]."""
-    c = ad.shape_of(x)[0]
-    if params.channels != c:
+def ifam_forward(x, bank_rows, params: IfamParams):
+    """One two-stage attention pass of [C,H,W] features through an [n,C]
+    agent bank.  With bank = bank_rows @ w_query^T and q, k, v the pixel
+    rows projected by w_query, w_key and w_value:
+
+      gathered = sigmoid(bank @ k^T / sqrt(d) + bias_fwd[:, None]) @ v  [n,d]
+      y = sigmoid(q @ bank^T / sqrt(d) + bias_bwd[None, :]) @ gathered  [L,d]
+
+    The agent-count rule: both biases, one scalar per agent (bias_fwd per
+    score row, bias_bwd per score column), have shape (n,); else
+    InvalidArgumentError.  Returns (y @ w_out^T [L,C], gathered)."""
+    n = ad.shape_of(bank_rows)[0]
+    if not ad.shape_of(params.bias_fwd) == ad.shape_of(params.bias_bwd) == (n,):
         raise InvalidArgumentError(
-            f"project_qkv: params expect C={params.channels}, input has C={c}")
+            f"ifam_forward: bias_fwd {ad.shape_of(params.bias_fwd)} and bias_bwd "
+            f"{ad.shape_of(params.bias_bwd)} must both be one per agent, ({n},)")
+    bank = ad.matmul(bank_rows, ad.transpose2d(params.w_query))
     rows = ad.chw_to_rows(x)
     q = ad.matmul(rows, ad.transpose2d(params.w_query))
     k = ad.matmul(rows, ad.transpose2d(params.w_key))
     v = ad.matmul(rows, ad.transpose2d(params.w_value))
-    return q, k, v
-
-
-def ifam_stage1(bank, keys, values, bias_fwd):
-    """Agents gather from pixels: sigmoid(bank @ keys^T / sqrt(d) + b) @ values.
-
-    bank is [n,d], keys/values are [L,d], bias_fwd is one scalar per agent
-    added to that agent's whole score row.  Returns [n,d].
-    """
-    n, d = ad.shape_of(bank)
-    ln, dk = ad.shape_of(keys)
-    if dk != d or ad.shape_of(values) != (ln, d):
-        raise InvalidArgumentError(
-            f"ifam_stage1: incompatible shapes bank{(n, d)} keys{(ln, dk)} "
-            f"values{ad.shape_of(values)}")
-    if ad.shape_of(bias_fwd) != (n,):
-        raise InvalidArgumentError(
-            f"ifam_stage1: bias shape {ad.shape_of(bias_fwd)} != ({n},)")
-    return ad.gated_mix(bank, keys, ad.reshape(bias_fwd, (n, 1)), values)
-
-
-def ifam_stage2(queries, bank, gathered, bias_bwd):
-    """Pixels read back from agents: sigmoid(Q @ bank^T / sqrt(d) + b) @ gathered.
-
-    queries is [L,d], bank/gathered are [n,d], bias_bwd is one scalar per
-    agent added to that agent's score column.  Returns [L,d].
-    """
-    ln, d = ad.shape_of(queries)
-    n, db = ad.shape_of(bank)
-    if db != d or ad.shape_of(gathered) != (n, d):
-        raise InvalidArgumentError(
-            f"ifam_stage2: incompatible shapes queries{(ln, d)} bank{(n, db)} "
-            f"gathered{ad.shape_of(gathered)}")
-    if ad.shape_of(bias_bwd) != (n,):
-        raise InvalidArgumentError(
-            f"ifam_stage2: bias shape {ad.shape_of(bias_bwd)} != ({n},)")
-    return ad.gated_mix(queries, bank, ad.reshape(bias_bwd, (1, n)), gathered)
-
-
-def ifam_forward(x, bank_rows, params: IfamParams):
-    """One two-stage attention pass of [C,H,W] features through an [n,C]
-    agent bank: bank and pixel projections, both gated stages and the
-    output projection.  Returns (y_rows [H*W, C], gathered [n,d])."""
-    bank = ad.matmul(bank_rows, ad.transpose2d(params.w_query))
-    q, k, v = project_qkv(x, params)
-    gathered = ifam_stage1(bank, k, v, params.bias_fwd)
-    y_rows = ifam_stage2(q, bank, gathered, params.bias_bwd)
+    del rows  # the stages read only q, k and v: keep the [L,C] rows out of their peak
+    gathered = ad.gated_mix(bank, k, ad.reshape(params.bias_fwd, (n, 1)), v)
+    y_rows = ad.gated_mix(q, bank, ad.reshape(params.bias_bwd, (1, n)), gathered)
     return ad.matmul(y_rows, ad.transpose2d(params.w_out)), gathered
 
 
@@ -210,20 +177,11 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     refined, regions = refine_mask(raw_mask)
 
     local = ad.depthwise_separable_conv(x, params.dw_w, params.pw_w, params.pw_b)
-    if not regions.rectangles:
-        if return_intermediates:
-            return local, DafmIntermediates(raw_mask, refined, regions)
-        return local
-
-    bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel(h, w))
-    n = math.prod(ad.shape_of(bank)[1:])
-    if params.ifam.n_agents != n:
-        raise InvalidArgumentError(
-            f"dafm_forward: params built for {params.ifam.n_agents} agents, "
-            f"input yields {n}")
-
-    y_rows, gathered = ifam_forward(x, ad.chw_to_rows(bank), params.ifam)
-    out = ad.add(ad.rows_to_chw(y_rows, (c, h, w)), local)
+    out, bank, gathered = local, None, None
+    if regions.rectangles:
+        bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel(h, w))
+        y_rows, gathered = ifam_forward(x, ad.chw_to_rows(bank), params.ifam)
+        out = ad.add(ad.rows_to_chw(y_rows, (c, h, w)), local)
     if return_intermediates:
         return out, DafmIntermediates(raw_mask, refined, regions, bank, gathered)
     return out

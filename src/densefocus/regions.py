@@ -144,7 +144,7 @@ def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     return out, RegionSet(rectangles, (h, w))
 
 
-def focus_bank(x, mask, weight, bias, kernel: int = 7):
+def focus_bank(x, mask, weight, bias, kernel: int):
     """Pool the masked feature map into a coarse agent bank.
 
     The refined mask gates the features, a kernel x kernel average pool

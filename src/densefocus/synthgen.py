@@ -109,7 +109,8 @@ def perturb_detections(gts, jitter_px: float = 0.0, drop_rate: float = 0.0,
     +jitter_px] for center x/y and width/height, one uniform score-noise
     draw in [-score_noise, +score_noise].  The score starts at 1 minus the
     mean absolute jitter normalized by jitter_px, plus the noise, clamped
-    to [0,1].  Extents are floored at 1 pixel.
+    to [0,1].  Extents are floored at 1 pixel.  A jitter_px that gives a box
+    the evaluator cannot score raises InvalidArgumentError.
     """
     if not (0.0 <= drop_rate <= 1.0):
         raise InvalidArgumentError(f"perturb_detections: bad drop_rate {drop_rate}")
@@ -133,7 +134,10 @@ def perturb_detections(gts, jitter_px: float = 0.0, drop_rate: float = 0.0,
         if jitter_px > 0:
             penalty = sum(abs(j) for j in jitters) / (4.0 * jitter_px)
         score = min(1.0, max(0.0, 1.0 - penalty + noise))
-        dets.append(Detection(
-            image_id=gt.image_id, category_id=gt.category_id,
-            bbox=(cx - w / 2.0, cy - h / 2.0, w, h), score=score))
+        bbox = (cx - w / 2.0, cy - h / 2.0, w, h)
+        try:
+            dets.append(Detection(gt.image_id, gt.category_id, bbox, score))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(
+                f"perturb_detections: jitter_px {jitter_px!r}: {exc}") from None
     return dets

@@ -326,10 +326,12 @@ def test_gradcheck_command_exits_4_on_a_nan_gradient(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", [("--drop", "2"), ("--drop", "-0.5"),
                                   ("--jitter", "-1"), ("--score-noise", "-0.1"),
-                                  ("--jitter", "nan"), ("--score-noise", "inf")])
+                                  ("--jitter", "nan"), ("--score-noise", "inf"),
+                                  ("--jitter", "1e200")])
 def test_synth_bad_detection_flag_writes_nothing(tmp_path, flag, capsys):
+    # two clusters, so that a jitter of 1e200 overflows some box's area
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"width": 24, "height": 24, "n_clusters": 1}))
+    spec.write_text(json.dumps({"width": 64, "height": 64, "n_clusters": 2}))
     out = tmp_path / "scene"
     assert run("synth", "--spec", str(spec), "--out-dir", str(out), *flag) == 2
     assert "perturb_detections" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Focused attention: agent bank projections, the two gated stages, and the
 full block with its density-driven routing."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.dafm import (
     AGENT_GRID, DafmParams, IfamParams, dafm_forward, dafm_params, expected_agents,
-    ifam_params, ifam_stage1, ifam_stage2, project_qkv,
+    ifam_forward, ifam_params,
 )
 from densefocus.errors import InvalidArgumentError, NumericError
 from densefocus.params import seeded_uniform
@@ -77,55 +78,53 @@ def test_dafm_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# projections and attention stages
+# the attention pass
 
-def test_project_qkv_matches_matmul():
-    p = ifam_params(channels=3, embed=2, n_agents=4, seed=3)
-    x = u(3, "qkv.x", (3, 4, 5))
-    q, k, v = project_qkv(x, p)
-    rows = x.reshape(3, 20).T
-    assert np.array_equal(q, rows @ p.w_query.T)
-    assert np.array_equal(k, rows @ p.w_key.T)
-    assert np.array_equal(v, rows @ p.w_value.T)
-    with pytest.raises(InvalidArgumentError):
-        project_qkv(np.zeros((2, 4, 5)), p)
+def ifam_point(seed=3):
+    """Params, [C,H,W] features and [n,C] bank rows with n=4, L=6, d=2 and
+    C=3 all different, so a bias read along the wrong axis cannot broadcast."""
+    params = ifam_params(channels=3, embed=2, n_agents=4, seed=seed)
+    return params, u(seed, "if.x", (3, 2, 3)), u(seed, "if.bank", (4, 3))
 
 
-def test_ifam_stage1_matches_hand():
-    n, ln, d = 2, 5, 3
-    bank = u(4, "s1.bank", (n, d))
-    keys = u(4, "s1.keys", (ln, d))
-    values = u(4, "s1.values", (ln, d))
-    bias = u(4, "s1.bias", (n,))
-    got = ifam_stage1(bank, keys, values, bias)
-    scores = bank @ keys.T / math.sqrt(d) + bias[:, None]
-    ref = oracles.hand_sigmoid(scores) @ values
-    assert got.shape == (n, d)
-    assert np.allclose(got, ref, rtol=1e-13, atol=1e-15)
+def test_ifam_forward_matches_hand():
+    p, x, bank_rows = ifam_point()
+    y_rows, gathered = ifam_forward(x, bank_rows, p)
+    rows = x.reshape(3, 6).T
+    bank = bank_rows @ p.w_query.T
+    q, k, v = rows @ p.w_query.T, rows @ p.w_key.T, rows @ p.w_value.T
+    g_ref = oracles.hand_sigmoid(bank @ k.T / math.sqrt(2) + p.bias_fwd[:, None]) @ v
+    y_ref = oracles.hand_sigmoid(q @ bank.T / math.sqrt(2) + p.bias_bwd[None, :]) @ g_ref
+    assert gathered.shape == (4, 2) and y_rows.shape == (6, 3)
+    assert np.allclose(gathered, g_ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(y_rows, y_ref @ p.w_out.T, rtol=1e-13, atol=1e-15)
 
 
-def test_ifam_stage2_matches_hand():
-    n, ln, d = 3, 6, 2
-    queries = u(5, "s2.q", (ln, d))
-    bank = u(5, "s2.bank", (n, d))
-    gathered = u(5, "s2.g", (n, d))
-    bias = u(5, "s2.bias", (n,))
-    got = ifam_stage2(queries, bank, gathered, bias)
-    scores = queries @ bank.T / math.sqrt(d) + bias[None, :]
-    ref = oracles.hand_sigmoid(scores) @ gathered
-    assert got.shape == (ln, d)
-    assert np.allclose(got, ref, rtol=1e-13, atol=1e-15)
+def test_ifam_forward_validation():
+    p, x, bank_rows = ifam_point()
+    # matmul owns the channel rule: the pixel rows meet w_query^T
+    with pytest.raises(InvalidArgumentError, match="inner dims differ"):
+        ifam_forward(x[:2], bank_rows, p)
+    for name in ("bias_fwd", "bias_bwd"):
+        short = dataclasses.replace(p, **{name: getattr(p, name)[:3]})
+        with pytest.raises(InvalidArgumentError, match=r"both be one per agent, \(4,\)"):
+            ifam_forward(x, bank_rows, short)
 
 
-def test_stage_shape_validation():
-    with pytest.raises(InvalidArgumentError):
-        ifam_stage1(np.zeros((2, 3)), np.zeros((5, 4)), np.zeros((5, 3)), np.zeros(2))
-    with pytest.raises(InvalidArgumentError):
-        ifam_stage1(np.zeros((2, 3)), np.zeros((5, 3)), np.zeros((5, 3)), np.zeros(3))
-    with pytest.raises(InvalidArgumentError):
-        ifam_stage2(np.zeros((5, 3)), np.zeros((2, 4)), np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(InvalidArgumentError):
-        ifam_stage2(np.zeros((5, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(5))
+def test_ifam_forward_peak_is_qkv_and_one_gate_block():
+    # the peak falls in stage 1, whose left operand is the n-row bank, so its
+    # one gate block is [n, L]; q, k, v and gated_mix's copy of k^T are alive
+    # beside it, and the [L,C] pixel rows they were projected from are not
+    c, s, n = 16, 128, 49
+    p = ifam_params(channels=c, embed=c, n_agents=n, seed=4)
+    x, bank_rows = u(4, "ifm.x", (c, s, s)), u(4, "ifm.bank", (n, c))
+    tracemalloc.start()
+    try:
+        ifam_forward(x, bank_rows, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (4 * c + n) * s * s * 8
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def test_non_finite_density_raises(size):
 def test_agent_count_mismatch_error():
     params = dafm_params(channels=3, embed=3, n_agents=9, seed=6)
     x = u(6, "da.x2", (3, 8, 8))
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="one per agent"):
         dafm_forward(x, blob_density(8, 8, 2, 5, 2, 5), params)
 
 

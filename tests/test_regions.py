@@ -270,11 +270,11 @@ def test_focus_bank_validation_and_graph_mode():
     x = np.ones((2, 8, 8))
     w = np.ones((2, 2, 1, 1))
     with pytest.raises(InvalidArgumentError):
-        focus_bank(x, np.ones((1, 8, 7)), w, None)
+        focus_bank(x, np.ones((1, 8, 7)), w, None, kernel=7)
     with pytest.raises(InvalidArgumentError):
         focus_bank(x, np.ones((1, 8, 8)), w, None, kernel=0)
     with pytest.raises(UnsupportedOperationError):
-        focus_bank(x, ad.Var(np.ones((1, 8, 8))), w, None)
+        focus_bank(x, ad.Var(np.ones((1, 8, 8))), w, None, kernel=7)
     out = focus_bank(ad.Var(x), np.ones((1, 8, 8)), w, None, kernel=4)
     assert isinstance(out, ad.Var)
     assert out.value.shape == (2, 2, 2)

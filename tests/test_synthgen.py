@@ -264,6 +264,15 @@ def test_perturb_accepts_the_largest_magnitude_with_finite_draws():
     assert 0.0 in scores and 1.0 in scores
 
 
+@pytest.mark.parametrize("jitter", [1e160, 1e200, sys.float_info.max / 2],
+                         ids=["1e160", "1e200", "half-max"])
+def test_perturb_names_jitter_px_when_a_box_cannot_be_scored(jitter):
+    # finite and within the draw bound, but the jittered extents overflow a
+    # box's area or far corner
+    with pytest.raises(InvalidArgumentError, match="perturb_detections: jitter_px"):
+        perturb_detections(scene_gts(), jitter_px=jitter)
+
+
 def test_jittered_scene_evaluates_like_brute_force():
     _, gts = generate_scene(SceneSpec(256, 256, 2, (10, 10), (4, 16), 8.0, seed=7))
     assert len(gts) == 20
