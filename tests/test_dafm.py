@@ -111,6 +111,51 @@ def test_ifam_forward_validation():
             ifam_forward(x, bank_rows, short)
 
 
+def test_project_qkv_matches_matmul():
+    # q, k and v are projected pixel by pixel, in row-major pixel order, by
+    # w_query, w_key and w_value; the bank rows are projected by w_query
+    p, x, bank_rows = ifam_point()
+    y_rows, gathered = ifam_forward(x, bank_rows, p)
+    pix = [x[:, i, j] for i in range(2) for j in range(3)]
+    q, k, v = (np.array([w @ px for px in pix]) for w in (p.w_query, p.w_key, p.w_value))
+    bank = np.array([p.w_query @ b for b in bank_rows])
+    g_ref = oracles.hand_sigmoid(bank @ k.T / math.sqrt(2) + p.bias_fwd[:, None]) @ v
+    y_ref = oracles.hand_sigmoid(q @ bank.T / math.sqrt(2) + p.bias_bwd[None, :]) @ g_ref
+    assert np.allclose(gathered, g_ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(y_rows, y_ref @ p.w_out.T, rtol=1e-13, atol=1e-15)
+    with pytest.raises(InvalidArgumentError):
+        ifam_forward(np.zeros((2, 4, 5)), bank_rows, p)
+
+
+def test_ifam_stage1_matches_hand():
+    # stage 1 alone: n=2 agents gather from L=5 pixels with d=3, bias per agent row
+    c, n, ln, d = 4, 2, 5, 3
+    p = ifam_params(channels=c, embed=d, n_agents=n, seed=4)
+    x, bank_rows = u(4, "s1.x", (c, 1, ln)), u(4, "s1.bank", (n, c))
+    _, got = ifam_forward(x, bank_rows, p)
+    rows = x.reshape(c, ln).T
+    bank, keys, values = bank_rows @ p.w_query.T, rows @ p.w_key.T, rows @ p.w_value.T
+    scores = bank @ keys.T / math.sqrt(d) + p.bias_fwd[:, None]
+    ref = oracles.hand_sigmoid(scores) @ values
+    assert got.shape == (n, d)
+    assert np.allclose(got, ref, rtol=1e-13, atol=1e-15)
+
+
+def test_ifam_stage2_matches_hand():
+    # stage 2 alone, fed the gathered rows ifam_forward returns: L=6 pixels
+    # read n=3 agents with d=2, bias per agent column
+    c, n, ln, d = 5, 3, 6, 2
+    p = ifam_params(channels=c, embed=d, n_agents=n, seed=5)
+    x, bank_rows = u(5, "s2.x", (c, 2, 3)), u(5, "s2.bank", (n, c))
+    y_rows, gathered = ifam_forward(x, bank_rows, p)
+    queries = x.reshape(c, ln).T @ p.w_query.T
+    bank = bank_rows @ p.w_query.T
+    scores = queries @ bank.T / math.sqrt(d) + p.bias_bwd[None, :]
+    ref = oracles.hand_sigmoid(scores) @ gathered
+    assert y_rows.shape == (ln, c)
+    assert np.allclose(y_rows, ref @ p.w_out.T, rtol=1e-13, atol=1e-15)
+
+
 def test_ifam_forward_peak_is_qkv_and_one_gate_block():
     # the peak falls in stage 1, whose left operand is the n-row bank, so its
     # one gate block is [n, L]; q, k, v and gated_mix's copy of k^T are alive
