@@ -116,11 +116,19 @@ def _topo_order(root: Var) -> list[Var]:
 
 
 def backward(out: Var, cotangent=None) -> None:
-    """Populate ``.grad`` on every node reachable from ``out``.
+    """Populate ``.grad`` on every leaf reachable from ``out``.
 
     Gradients from any previous backward over the same graph are cleared
-    first, so each call gives fresh accumulations in a fixed order.
+    first, so each call gives fresh accumulations in a fixed order.  An
+    interior node's cotangent is freed as soon as its vjp has consumed it,
+    so afterwards every interior node (``out`` too, unless it is a leaf)
+    reads ``.grad is None``; use :func:`vjp` to get an interior cotangent.
     """
+    _backward(out, cotangent, keep=())
+
+
+def _backward(out: Var, cotangent, keep) -> None:
+    """:func:`backward`, but the nodes in ``keep`` hold their ``.grad``."""
     if not isinstance(out, Var):
         raise UnsupportedOperationError("backward: output is not a graph node")
     order = _topo_order(out)
@@ -134,10 +142,13 @@ def backward(out: Var, cotangent=None) -> None:
             raise InvalidArgumentError(
                 f"cotangent shape {ct.shape} != output shape {out.value.shape}")
     out.grad = ct
+    kept = {id(node) for node in keep}
     for node in reversed(order):
         g = node.grad
         if g is None or node._vjp is None:
             continue
+        if id(node) not in kept:
+            node.grad = None
         for parent, contrib in zip(node._parents, node._vjp(g)):
             if contrib is not None:
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
@@ -145,8 +156,14 @@ def backward(out: Var, cotangent=None) -> None:
 
 def vjp(out: Var, cotangent, wrt) -> list[np.ndarray]:
     """Vector-Jacobian product: gradients of ``<cotangent, out>`` w.r.t.
-    each node in ``wrt`` (zeros where a node does not influence ``out``)."""
-    backward(out, cotangent)
+    each node in ``wrt`` (zeros where a node does not influence ``out``).
+
+    A node in ``wrt`` may be interior: it keeps its ``.grad`` through the
+    backward, while every other interior cotangent is freed as in
+    :func:`backward`.
+    """
+    wrt = list(wrt)
+    _backward(out, cotangent, keep=wrt)
     return [w.grad if w.grad is not None else np.zeros_like(w.value) for w in wrt]
 
 

@@ -8,11 +8,12 @@ pixel count because the bank size is fixed: the masked features are pooled
 to a grid of at most ``AGENT_GRID`` x ``AGENT_GRID`` cells at any image
 size, so there are at most 49 agents.  :func:`ifam_forward` holds both
 stages and the agent-count rule.  Each stage is one ``gated_mix``, which
-builds its gates one fixed row block at a time and recomputes them block by
-block in the backward, so no L x n gate matrix is ever held whole and the
-memory is linear in the pixel count too.  A depthwise-separable local branch
-is always added, so an empty region selection degrades to exactly that
-branch.
+builds its gates one 64-row block at a time and recomputes them block by
+block in the backward.  Stage 2 has one gate row per pixel, so its L x n
+gate matrix is never held whole; stage 1 has one row per agent, so its
+whole [n, L] gate matrix is one block.  Either way the memory is linear in
+the pixel count too.  A depthwise-separable local branch is always added,
+so an empty region selection degrades to exactly that branch.
 """
 
 from __future__ import annotations
@@ -46,18 +47,6 @@ class IfamParams:
     w_out: object
     bias_fwd: object
     bias_bwd: object
-
-    @property
-    def n_agents(self) -> int:
-        return ad.shape_of(self.bias_fwd)[0]
-
-    @property
-    def embed(self) -> int:
-        return ad.shape_of(self.w_query)[0]
-
-    @property
-    def channels(self) -> int:
-        return ad.shape_of(self.w_query)[1]
 
 
 def ifam_params(channels: int, embed: int, n_agents: int, seed: int) -> IfamParams:

@@ -56,7 +56,8 @@ def test_ifam_params_shapes_and_identity_out():
     p = ifam_params(channels=6, embed=6, n_agents=3, seed=2)
     assert p.w_query.shape == (6, 6)
     assert np.array_equal(p.w_out, np.eye(6))
-    assert (p.n_agents, p.embed, p.channels) == (3, 6, 6)
+    assert p.w_key.shape == p.w_value.shape == (6, 6)
+    assert p.bias_fwd.shape == p.bias_bwd.shape == (3,)
     q = ifam_params(channels=6, embed=4, n_agents=3, seed=2)
     assert q.w_out.shape == (6, 4)
     assert not np.array_equal(q.w_out, np.eye(6, 4))
@@ -70,7 +71,7 @@ def test_dafm_params_validation():
     p = dafm_params(channels=4, embed=3, n_agents=5, seed=1)
     assert p.bank_w.shape == (4, 4, 1, 1)
     assert p.dw_w.shape == (4, 1, 3, 3)
-    assert p.ifam.n_agents == 5
+    assert p.ifam.bias_fwd.shape == p.ifam.bias_bwd.shape == (5,)
     with pytest.raises(InvalidArgumentError):
         dafm_params(4, 3, 5, seed=1, dw_kernel=4)
     with pytest.raises(InvalidArgumentError):
