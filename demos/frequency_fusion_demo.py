@@ -9,8 +9,7 @@ import numpy as np
 
 from densefocus import ops
 from densefocus.density import calib_params, calibrate_density
-from densefocus.dffm import (DEFAULT_KERNEL_SET, dffm_forward, dffm_params,
-                             frequency_masks, frequency_split)
+from densefocus.dffm import DEFAULT_KERNEL_SET, dffm_forward, dffm_params, frequency_masks
 from densefocus.params import seeded_uniform
 
 h = w = 36
@@ -25,14 +24,14 @@ m_low, m_high = frequency_masks(x, d_cal, path.mask_w, path.mask_b)
 print(f"mask complement exact: {np.array_equal(m_low + m_high, np.ones_like(m_low))}")
 print(f"low-mask mean {m_low.mean():.3f} (0.5 would be an even split)")
 
-pair = frequency_split(x, m_low, m_high)
 spectrum = ops.dct2(x)
+low, high = spectrum * m_low, spectrum * m_high
 e_total = float(np.sum(spectrum ** 2))
-e_low = float(np.sum(pair.low ** 2))
-e_high = float(np.sum(pair.high ** 2))
+e_low = float(np.sum(low ** 2))
+e_high = float(np.sum(high ** 2))
 print(f"spectral energy: {100 * e_low / e_total:.1f}% low band, "
       f"{100 * e_high / e_total:.1f}% high band")
-recon = ops.idct2(pair.low) + ops.idct2(pair.high)
+recon = ops.idct2(low) + ops.idct2(high)
 print(f"band recomposition error {np.max(np.abs(recon - x)):.2e}")
 
 fused = dffm_forward(x, d_cal, params, DEFAULT_KERNEL_SET)

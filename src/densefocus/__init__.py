@@ -21,12 +21,11 @@ from .density import (BBoxAnnotation, CalibParams, DensityMap, DgbConfig,
                       calib_params, calibrate_density, density_loss,
                       dgb_channel_plan, dgb_forward, dgb_params, gt_density,
                       object_sigma)
-from .regions import RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask
+from .regions import RegionSet, kmeans2, refine_mask, threshold_mask
 from .dafm import (DafmIntermediates, DafmParams, IfamParams, dafm_forward,
                    dafm_params, expected_agents, ifam_forward, ifam_params)
-from .dffm import (DEFAULT_KERNEL_SET, DffmParams, EdhParams, FrequencyPair,
-                   dffm_forward, dffm_params, edh, edh_params, frequency_masks,
-                   frequency_split)
+from .dffm import (DEFAULT_KERNEL_SET, DffmParams, EdhParams, dffm_forward,
+                   dffm_params, edh, edh_params, frequency_masks)
 from .evalkit import (IOU_THRESHOLDS, SIZE_BUCKETS, APReport, Detection,
                       ap_report, average_precision, iou, match_detections)
 from .synthgen import SceneSpec, generate_scene, perturb_detections
@@ -55,12 +54,11 @@ __all__ = [
     "BBoxAnnotation", "CalibParams", "DensityMap", "DgbConfig",
     "calib_params", "calibrate_density", "density_loss", "dgb_channel_plan",
     "dgb_forward", "dgb_params", "gt_density", "object_sigma",
-    "RegionSet", "focus_bank", "kmeans2", "refine_mask", "threshold_mask",
+    "RegionSet", "kmeans2", "refine_mask", "threshold_mask",
     "DafmIntermediates", "DafmParams", "IfamParams", "dafm_forward",
     "dafm_params", "expected_agents", "ifam_forward", "ifam_params",
-    "DEFAULT_KERNEL_SET", "DffmParams", "EdhParams", "FrequencyPair",
-    "dffm_forward", "dffm_params", "edh", "edh_params", "frequency_masks",
-    "frequency_split",
+    "DEFAULT_KERNEL_SET", "DffmParams", "EdhParams", "dffm_forward",
+    "dffm_params", "edh", "edh_params", "frequency_masks",
     "IOU_THRESHOLDS", "SIZE_BUCKETS", "APReport", "Detection", "ap_report",
     "average_precision", "iou", "match_detections",
     "SceneSpec", "generate_scene", "perturb_detections",

@@ -9,9 +9,8 @@ positional argument, computing only those the tape needs.  A call with no
 Var among its positional arguments returns ``forward(*args)`` untouched;
 otherwise the op records one tape node, whose vjp runs once per backward.
 Blocks composed from registered ops (the channel and spatial attention
-gates, the depthwise-separable conv) need no registration of their own, so
-module forwards work both as fast inference code and as differentiable
-graphs.
+gates) need no registration of their own, so module forwards work both as
+fast inference code and as differentiable graphs.
 """
 
 from __future__ import annotations
@@ -174,17 +173,21 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0) -> float:
     """Compare tape gradients of a scalar-valued function against central
     finite differences.
 
-    ``point`` is one array or a sequence of arrays.  When the total number
-    of coordinates exceeds ``_GRAD_CHECK_COORDS`` (512), a seeded subset of
-    that many is probed.
+    ``point`` is one array or a sequence of arrays, probed as one flat
+    coordinate vector.  When it has more than ``_GRAD_CHECK_COORDS`` (512)
+    coordinates, a seeded subset of that many is probed.
     Returns the maximum relative error max|analytic - numeric| /
     max(1e-8, |numeric|) over the probed coordinates, NaN if any is NaN.
     """
     if isinstance(point, np.ndarray) or np.isscalar(point):
         point = [point]
-    arrays = [ops.as_tensor(p, f"point[{i}]").copy() for i, p in enumerate(point)]
+    arrays = [ops.as_tensor(p, f"point[{i}]") for i, p in enumerate(point)]
+    # np.empty(0) lets an empty point reach the graph check below
+    flat = np.concatenate([np.empty(0)] + [a.ravel() for a in arrays])
+    views = [part.reshape(a.shape) for a, part in
+             zip(arrays, np.split(flat, np.cumsum([a.size for a in arrays])))]
 
-    leaves = [Var(a.copy()) for a in arrays]
+    leaves = [Var(v.copy()) for v in views]
     out = scalar_fn(*leaves)
     if not isinstance(out, Var):
         raise UnsupportedOperationError("grad_check: function did not build a graph")
@@ -192,38 +195,28 @@ def grad_check(scalar_fn, point, eps: float = 1e-6, seed: int = 0) -> float:
         raise InvalidArgumentError(
             f"grad_check: function must be scalar-valued, got shape {out.value.shape}")
     backward(out)
-    analytic = [v.grad if v.grad is not None else np.zeros_like(v.value) for v in leaves]
+    analytic = np.concatenate([np.empty(0)] + [np.zeros(v.value.size) if v.grad is None
+                                               else v.grad.ravel() for v in leaves])
 
-    def eval_at(mod_arrays) -> float:
-        res = scalar_fn(*[Var(a.copy()) for a in mod_arrays])
-        return float(res.value)
+    def eval_at() -> float:
+        return float(scalar_fn(*[Var(v.copy()) for v in views]).value)
 
-    sizes = [a.size for a in arrays]
-    total = sum(sizes)
-    if total <= _GRAD_CHECK_COORDS:
-        coords = [(ai, flat) for ai, n in enumerate(sizes) for flat in range(n)]
+    if flat.size <= _GRAD_CHECK_COORDS:
+        coords = range(flat.size)
     else:
         rng = Rng(seed)
-        coords = []
-        for _ in range(_GRAD_CHECK_COORDS):
-            flat = rng.randint(0, total - 1)
-            ai = 0
-            while flat >= sizes[ai]:
-                flat -= sizes[ai]
-                ai += 1
-            coords.append((ai, flat))
+        coords = [rng.randint(0, flat.size - 1) for _ in range(_GRAD_CHECK_COORDS)]
 
     max_err = 0.0
-    for ai, flat in coords:
-        saved = arrays[ai].flat[flat]
-        arrays[ai].flat[flat] = saved + eps
-        f_plus = eval_at(arrays)
-        arrays[ai].flat[flat] = saved - eps
-        f_minus = eval_at(arrays)
-        arrays[ai].flat[flat] = saved
+    for i in coords:
+        saved = flat[i]
+        flat[i] = saved + eps
+        f_plus = eval_at()
+        flat[i] = saved - eps
+        f_minus = eval_at()
+        flat[i] = saved
         numeric = (f_plus - f_minus) / (2.0 * eps)
-        an = float(analytic[ai].flat[flat])
-        err = abs(an - numeric) / max(1e-8, abs(numeric))
+        err = abs(float(analytic[i]) - numeric) / max(1e-8, abs(numeric))
         max_err = np.maximum(max_err, err)  # a NaN error stays the maximum
     return float(max_err)
 
@@ -417,11 +410,6 @@ def _depthwise_vjp(g, out, needs, x, weight):
 
 
 depthwise_conv = defop(ops.depthwise_conv, _depthwise_vjp)
-
-
-def depthwise_separable_conv(x, dw_weight, pw_weight, pw_bias=None):
-    """:func:`depthwise_conv` followed by a 1x1 pointwise conv."""
-    return conv2d(depthwise_conv(x, dw_weight), pw_weight, pw_bias, 1, 0)
 
 
 def _bilinear_vjp(g, out, needs, x, out_h, out_w):

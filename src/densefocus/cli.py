@@ -27,7 +27,7 @@ from .regions import refine_mask, threshold_mask
 from .synthgen import SceneSpec, generate_scene, perturb_detections
 from .tensorfile import (load_annotation_file, num_value, range_value, read_json,
                          read_tensor, real_value, save_annotation_file, seed_value,
-                         write_heatmap, write_json, write_tensor)
+                         str_value, write_heatmap, write_json, write_tensor)
 
 
 def _read_density(path) -> np.ndarray:
@@ -148,8 +148,7 @@ def cmd_dafm(args) -> int:
                          **_set_fields(doc, {"dw_kernel": num_value}))
     out, inter = dafm_forward(
         x, d, params, return_intermediates=True,
-        **_set_fields(doc, {"thresh_mode": lambda key, value: value,
-                            "thresh_value": real_value}))
+        **_set_fields(doc, {"thresh_mode": str_value, "thresh_value": real_value}))
     require_finite(out, "dafm output")
     write_tensor(args.out, out)
     if args.dump_dir:

@@ -1,19 +1,20 @@
 """Density-guided focused attention.
 
 Instead of full pairwise attention over all H*W pixels, a small bank of
-agent vectors (pooled from the density-selected regions) mediates two
-sigmoid-gated stages: agents gather from all pixels (forward stage), then
-pixels read back from the agents (backward stage).  Cost is linear in the
-pixel count because the bank size is fixed: the masked features are pooled
-to a grid of at most ``AGENT_GRID`` x ``AGENT_GRID`` cells at any image
-size, so there are at most 49 agents.  :func:`ifam_forward` holds both
-stages and the agent-count rule.  Each stage is one ``gated_mix``, which
-builds its gates one 64-row block at a time and recomputes them block by
-block in the backward.  Stage 2 has one gate row per pixel, so its L x n
-gate matrix is never held whole; stage 1 has one row per agent, so its
-whole [n, L] gate matrix is one block.  Either way the memory is linear in
-the pixel count too.  A depthwise-separable local branch is always added,
-so an empty region selection degrades to exactly that branch.
+agent vectors mediates two sigmoid-gated stages: agents gather from all
+pixels (forward stage), then pixels read back from the agents (backward
+stage).  Cost is linear in the pixel count because the bank size is fixed:
+:func:`dafm_forward` masks the features by the density-selected
+rectangles, average-pools them to a grid of at most ``AGENT_GRID`` x
+``AGENT_GRID`` cells at any image size and mixes channels with a 1x1 conv,
+so there are at most 49 agents.  :func:`ifam_forward` holds both stages
+and the agent-count rule.  Each stage is one ``gated_mix``, which builds
+its gates one 64-row block at a time and recomputes them block by block in
+the backward.  Stage 2 has one gate row per pixel, so its L x n gate matrix
+is never held whole; stage 1 has one row per agent, so its whole [n, L]
+gate matrix is one block.  Either way the memory is linear in the pixel
+count too.  A local branch (depthwise conv, then 1x1 conv) is always
+added, so an empty region selection degrades to exactly that branch.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .density import density_values
 from .errors import InvalidArgumentError
 from .ops import pool_output_extent, require_chw, require_finite
 from .params import seeded_uniform
-from .regions import RegionSet, focus_bank, refine_mask, threshold_mask
+from .regions import RegionSet, refine_mask, threshold_mask
 
 AGENT_GRID = 7
 
@@ -150,12 +151,14 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     """Full focused-attention block on [C,H,W] features.
 
     The density prior (any resolution) is resized to the feature grid,
-    thresholded, and refined into cluster rectangles.  Pixels inside the
-    rectangles feed the agent bank; the two attention stages produce the
-    global branch, added to the always-on depthwise local branch.  With no
-    selected regions the output is exactly the local branch.  A NaN or
-    infinite density raises NumericError.  A graph-node density is read by
-    value: the mask path is piecewise constant, so it has no gradient.
+    thresholded, and refined into cluster rectangles.  The bank is the
+    masked features pooled by bank_kernel(H, W), then mixed by bank_w, so a
+    cell wholly outside the rectangles is bank_b.  The two attention stages
+    produce the global branch, added to the always-on local branch (dw_w
+    depthwise, then pw_w 1x1).  With no selected regions the output is
+    exactly the local branch.  A NaN or infinite density raises
+    NumericError.  A graph-node density is read by value: the mask path is
+    piecewise constant, so it has no gradient.
     """
     c, h, w = require_chw(ad.value_of(x, "dafm input"), "dafm input").shape
 
@@ -165,10 +168,11 @@ def dafm_forward(x, density, params: DafmParams, thresh_mode: str = "quantile",
     raw_mask = threshold_mask(d, thresh_mode, thresh_value)
     refined, regions = refine_mask(raw_mask)
 
-    local = ad.depthwise_separable_conv(x, params.dw_w, params.pw_w, params.pw_b)
+    local = ad.conv2d(ad.depthwise_conv(x, params.dw_w), params.pw_w, params.pw_b, 1, 0)
     out, bank, gathered = local, None, None
     if regions.rectangles:
-        bank = focus_bank(x, refined, params.bank_w, params.bank_b, kernel=bank_kernel(h, w))
+        bank = ad.conv2d(ad.avg_pool(ad.multiply(x, refined), bank_kernel(h, w)),
+                         params.bank_w, params.bank_b, 1, 0)
         y_rows, gathered = ifam_forward(x, ad.chw_to_rows(bank), params.ifam)
         out = ad.add(ad.rows_to_chw(y_rows, (c, h, w)), local)
     if return_intermediates:

@@ -1,11 +1,12 @@
 """Dual-frequency feature fusion.
 
 Each configured pooling kernel opens one path: the features are average-
-pooled, split into low/high DCT bands by a density-derived sigmoid mask,
-each band is enhanced (channel attention on the low band, spatial attention
-on the high band), and a density-gated channel-affinity matrix recombines
-them with the pooled features.  Paths are resized back and summed in a
-fixed order with a plain 3x3 conv path, then mixed by a 1x1 conv.
+pooled, then :func:`edh` splits them into low/high DCT bands by a density-
+derived sigmoid mask, enhances each band (channel attention on the low
+band, spatial attention on the high band), and recombines them with the
+pooled features through a density-gated channel-affinity matrix.  Paths
+are resized back and summed in a fixed order with a plain 3x3 conv path,
+then mixed by a 1x1 conv.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from .density import CalibParams, calib_params, calibrate_density, density_value
 from .errors import InvalidArgumentError
 from .ops import require_chw
 from .params import seeded_uniform
-
-
-@dataclass
-class FrequencyPair:
-    """Complementary DCT-domain components: low + high == dct2(source)."""
-    low: object
-    high: object
 
 
 @dataclass
@@ -77,26 +71,24 @@ def frequency_masks(p, density, mask_w, mask_b):
     return m_low, m_high
 
 
-def frequency_split(f, m_low, m_high) -> FrequencyPair:
-    """Split a feature map's DCT spectrum into complementary bands; the
-    masks index frequency coordinates and broadcast over channels."""
-    spectrum = ad.dct2(f)
-    return FrequencyPair(low=ad.multiply(spectrum, m_low),
-                         high=ad.multiply(spectrum, m_high))
+def edh(pooled, density, density_cal, params: EdhParams):
+    """Split pooled features into two DCT bands, enhance and recombine them.
 
-
-def edh(freq: FrequencyPair, pooled, density_cal, params: EdhParams):
-    """Enhance and recombine the two frequency bands.
-
-    The low band (back in the spatial domain) passes channel attention, the
-    high band spatial attention; a C x C affinity A = row-softmax of the
-    density-gated cross product mixes the pooled features; the calibrated
-    density is added back, broadcast over channels.
+    The :func:`frequency_masks` of the pooled features and the raw density
+    weight the coefficients of dct2(pooled), broadcast over channels, so
+    the bands sum to the spectrum.  The low band (back in the spatial
+    domain) passes channel attention, the high band spatial attention; a
+    C x C affinity A = row-softmax of the density-gated cross product mixes
+    the pooled features; the calibrated density is added back, broadcast
+    over channels.
     """
     c, h, w = ad.shape_of(pooled)
     l = h * w
-    f_low = ad.channel_attention(ad.idct2(freq.low), params.ca_reduce, params.ca_expand)
-    f_high = ad.spatial_attention(ad.idct2(freq.high), params.sa_w)
+    m_low, m_high = frequency_masks(pooled, density, params.mask_w, params.mask_b)
+    spectrum = ad.dct2(pooled)
+    f_low = ad.channel_attention(ad.idct2(ad.multiply(spectrum, m_low)),
+                                 params.ca_reduce, params.ca_expand)
+    f_high = ad.spatial_attention(ad.idct2(ad.multiply(spectrum, m_high)), params.sa_w)
 
     fl = ad.reshape(f_low, (c, l))
     fh = ad.reshape(f_high, (c, l))
@@ -143,8 +135,8 @@ def dffm_forward(p, density, params: DffmParams,
                  kernel_set: Sequence[int] = DEFAULT_KERNEL_SET):
     """Multi-kernel dual-frequency fusion of [C,H,W] features.
 
-    Per kernel k: avg_pool(P, k) -> band masks from the resized raw density
-    -> frequency split -> band enhancement -> resize back to (H, W).  The
+    Per kernel k: avg_pool(P, k) -> :func:`edh` with the raw and calibrated
+    densities resized to the pooled grid -> resize back to (H, W).  The
     resized paths, plus a 3x3 conv path, are summed in configuration order
     and mixed by a 1x1 conv; an empty kernel_set leaves the conv path only.
     A graph-node density gets gradient through P * D and the D, 1 - D gates.
@@ -167,11 +159,8 @@ def dffm_forward(p, density, params: DffmParams,
     for k, path in zip(kernel_set, params.paths):
         pooled = ad.avg_pool(p, k)
         _, ph, pw = ad.shape_of(pooled)
-        d_k = ad.bilinear_resize(d_raw, ph, pw)
-        dc_k = ad.bilinear_resize(d_cal, ph, pw)
-        m_low, m_high = frequency_masks(pooled, d_k, path.mask_w, path.mask_b)
-        pair = frequency_split(pooled, m_low, m_high)
-        enhanced = edh(pair, pooled, dc_k, path)
+        enhanced = edh(pooled, ad.bilinear_resize(d_raw, ph, pw),
+                       ad.bilinear_resize(d_cal, ph, pw), path)
         back = ad.bilinear_resize(enhanced, h, w)
         total = back if total is None else ad.add(total, back)
 

@@ -3,8 +3,9 @@
 A density map is thresholded into a binary mask, the active pixels are
 split by a fixed two-centroid k-means (centroids initialized at opposite
 grid corners), and each cluster's bounding rectangle is filled to produce
-the refined mask that gates the focused-attention stage.  Selection is a
-hard, non-differentiable routing decision: graph nodes are rejected.
+the refined mask that ``dafm_forward`` pools into its agent bank.
+Selection is a hard, non-differentiable routing decision: graph nodes are
+rejected.
 """
 
 from __future__ import annotations
@@ -142,21 +143,3 @@ def refine_mask(mask) -> tuple[np.ndarray, RegionSet]:
     for r0, r1, c0, c1 in rectangles:
         out[0, r0:r1 + 1, c0:c1 + 1] = 1.0
     return out, RegionSet(rectangles, (h, w))
-
-
-def focus_bank(x, mask, weight, bias, kernel: int):
-    """Pool the masked feature map into a coarse agent bank.
-
-    The refined mask gates the features, a kernel x kernel average pool
-    (stride = kernel) coarsens them to ceil(H/kernel) x ceil(W/kernel), and
-    a 1x1 conv mixes channels.  Cells whose window lies fully outside the
-    rectangles are exactly zero before the conv bias.
-    """
-    xv = ad.value_of(x, "focus input")
-    mv = _selection_map(mask, "focus_bank")
-    if mv.shape != (1,) + xv.shape[1:]:
-        raise InvalidArgumentError(
-            f"focus_bank: mask shape {mv.shape} does not match features {xv.shape}")
-    masked = ad.multiply(x, mv)
-    pooled = ad.avg_pool(masked, kernel)
-    return ad.conv2d(pooled, weight, bias, stride=1, pad=0)

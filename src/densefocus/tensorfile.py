@@ -230,6 +230,13 @@ def num_value(key: str, value, integer: bool = True):
     return int(value) if integer else real
 
 
+def str_value(key: str, value) -> str:
+    """A string field of a params file; anything else is a FormatError."""
+    if not isinstance(value, str):
+        raise FormatError(f"field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def seed_value(key: str, value) -> int:
     """A seed field: an integer in [0, 2**64).  Rng keeps a seed's low 64
     bits, so a seed outside that range would alias another's streams."""

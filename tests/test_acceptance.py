@@ -136,7 +136,7 @@ def per_op_cases(seed):
            [x, u("cw", (3, 2, 3, 3), 18), u("cb", (3,), 1)])
     yield "avg_pool", lambda a: wsum(ad.avg_pool(a, 4)), [x]
     yield ("depthwise_separable",
-           lambda a, dw, pw, b: wsum(ad.depthwise_separable_conv(a, dw, pw, b)),
+           lambda a, dw, pw, b: wsum(ad.conv2d(ad.depthwise_conv(a, dw), pw, b, 1, 0)),
            [x, u("dw", (2, 1, 3, 3), 9), u("pw", (4, 2, 1, 1), 2),
             u("pb", (4,), 1)])
     yield "bilinear_up", lambda a: wsum(ad.bilinear_resize(a, 9, 11)), [x]

@@ -408,6 +408,20 @@ def test_scene_spec_faults_exit_3(tmp_path, change, capsys):
     assert f"field {next(iter(change))!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, code", [(5, 3), (None, 3), (["quantile"], 3), ("bogus", 2)])
+def test_dafm_thresh_mode_must_be_a_known_string(tmp_path, mode, code, capsys):
+    """A non-string mode is malformed input; an unknown string is a usage error."""
+    feats, density, params = tmp_path / "x.drmt", tmp_path / "d.drmt", tmp_path / "p.json"
+    write_tensor(feats, seeded_uniform(5, "cli.x", (4, 16, 16), 4))
+    write_tensor(density, np.abs(seeded_uniform(5, "cli.d", (1, 16, 16), 1)))
+    params.write_text(json.dumps({"seed": 2, "thresh_mode": mode}))
+    out = tmp_path / "attn.drmt"
+    assert run("dafm", "--features", str(feats), "--density", str(density),
+               "--params", str(params), "--out", str(out)) == code
+    assert repr(mode) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_with_a_spread_whose_offsets_overflow_exits_0(tmp_path):
     # at seed 4 some offsets drawn with a 1e308 spread are infinite; their
     # boxes clamp to the image like any other offset past its edge

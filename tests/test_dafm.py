@@ -297,7 +297,7 @@ def test_empty_selection_is_exactly_local_branch():
     params = dafm_params(channels=3, embed=3, n_agents=16, seed=6)
     x = u(6, "da.x", (3, 8, 8))
     out, inter = dafm_forward(x, np.zeros((1, 8, 8)), params, return_intermediates=True)
-    local = ad.depthwise_separable_conv(x, params.dw_w, params.pw_w, params.pw_b)
+    local = ops.depthwise_separable_conv(x, params.dw_w, params.pw_w, params.pw_b)
     assert np.array_equal(out, local)
     assert not inter.raw_mask.any()
     assert not inter.refined_mask.any()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from densefocus import autodiff as ad
+from densefocus.dafm import dafm_forward, dafm_params
 from densefocus.density import (
     BBoxAnnotation, CalibParams, DensityMap, DgbConfig, calib_params,
     calibrate_density, density_loss, density_values, dgb_channel_plan,
@@ -15,7 +16,7 @@ from densefocus.density import (
 )
 from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
-from densefocus.regions import focus_bank, refine_mask, threshold_mask
+from densefocus.regions import refine_mask, threshold_mask
 from densefocus.tensorfile import write_heatmap
 
 import oracles
@@ -198,8 +199,9 @@ def _heatmap_bytes(m, tmp_path):
 # comparable bytes
 MAP_CONSUMERS = {
     "refine_mask": _refined_bytes,
-    "focus_bank": lambda m, tmp_path: focus_bank(
-        np.arange(72.0).reshape(2, 6, 6), m, np.ones((2, 2, 1, 1)), None, 3).tobytes(),
+    "dafm_forward": lambda m, tmp_path: dafm_forward(
+        np.arange(72.0).reshape(2, 6, 6), m, dafm_params(2, 2, 36, 1), "absolute",
+        0.5).tobytes(),
     "write_heatmap": _heatmap_bytes,
 }
 
@@ -219,9 +221,8 @@ def test_map_consumers_share_the_density_coercion(consumer, tmp_path):
 def test_region_selection_refuses_a_graph_node_and_write_heatmap_reads_its_value(tmp_path):
     mask = np.zeros((1, 6, 6))
     mask[0, 1:3, 2:5] = 1.0
-    for consumer in ("refine_mask", "focus_bank"):
-        with pytest.raises(UnsupportedOperationError):
-            MAP_CONSUMERS[consumer](ad.Var(mask), tmp_path)
+    with pytest.raises(UnsupportedOperationError):
+        refine_mask(ad.Var(mask))
     with pytest.raises(UnsupportedOperationError):
         threshold_mask(ad.Var(mask))
     ramp = np.abs(seeded_uniform(5, "hm.var", (6, 7), 1))

@@ -1,5 +1,5 @@
-"""Dual-frequency fusion: band masks, spectrum splits, the enhancement
-block, and the multi-kernel forward."""
+"""Dual-frequency fusion: band masks, the enhancement block with its
+spectrum split, and the multi-kernel forward."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from densefocus import autodiff as ad
 from densefocus import ops
 from densefocus.density import DgbConfig, dgb_forward, dgb_params
 from densefocus.dffm import (
-    DEFAULT_KERNEL_SET, EdhParams, FrequencyPair, dffm_forward, dffm_params,
-    edh, edh_params, frequency_masks, frequency_split,
+    DEFAULT_KERNEL_SET, EdhParams, dffm_forward, dffm_params, edh, edh_params,
+    frequency_masks,
 )
 from densefocus.errors import InvalidArgumentError
 from densefocus.params import seeded_uniform
@@ -64,74 +64,51 @@ def test_frequency_masks_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# frequency split
-
-def test_all_low_mask_takes_whole_spectrum():
-    f = u(3, "fs.f", (2, 5, 5))
-    ones = np.ones((1, 5, 5))
-    pair = frequency_split(f, ones, np.zeros((1, 5, 5)))
-    assert np.array_equal(pair.low, ops.dct2(f))
-    assert not pair.high.any()
-
-
-def test_band_conservation_spectral_and_spatial():
-    for seed in (1, 2, 3):
-        f = u(seed, "fs.c.f", (3, 6, 6))
-        p = u(seed, "fs.c.p", (3, 6, 6))
-        d = unit_density(seed, 6, 6)
-        w = u(seed, "fs.c.w", (1, 3, 1, 1), 3)
-        b = u(seed, "fs.c.b", (1,), 3)
-        m_low, m_high = frequency_masks(p, d, w, b)
-        pair = frequency_split(f, m_low, m_high)
-        spectrum = ops.dct2(f)
-        assert np.abs(pair.low + pair.high - spectrum).max() < 1e-9
-        recon = ops.idct2(pair.low) + ops.idct2(pair.high)
-        assert np.abs(recon - f).max() < 1e-9
-
-
-# ---------------------------------------------------------------------------
 # enhancement block
 
 def micro_point(seed, c=3, h=4, w=4):
     pooled = u(seed, "edh.pooled", (c, h, w))
-    f = u(seed, "edh.f", (c, h, w))
     d_cal = 0.2 + 0.6 * np.abs(u(seed, "edh.dcal", (1, h, w), 1))
-    params = edh_params(c, seed, tag="t")
-    mask_w = u(seed, "edh.mask", (1, c, 1, 1), c)
-    mask_b = u(seed, "edh.maskb", (1,), c)
-    m_low, m_high = frequency_masks(pooled, unit_density(seed, h, w), mask_w, mask_b)
-    pair = frequency_split(f, m_low, m_high)
-    return pair, pooled, d_cal, params
+    return pooled, unit_density(seed, h, w), d_cal, edh_params(c, seed, tag="t")
+
+
+def bands(pooled, density, params):
+    """The path's own split: dct2(pooled) weighted by its band masks."""
+    m_low, m_high = frequency_masks(pooled, density, params.mask_w, params.mask_b)
+    spectrum = ops.dct2(pooled)
+    return spectrum * m_low, spectrum * m_high
+
+
+def hand_edh(low, high, pooled, d_cal, p):
+    return oracles.hand_edh(low, high, pooled, d_cal,
+                            {"ca_reduce": p.ca_reduce, "ca_expand": p.ca_expand,
+                             "sa_w": p.sa_w, "mix_high": p.mix_high, "mix_low": p.mix_low})
 
 
 def test_zero_mixers_give_uniform_affinity():
-    pair, pooled, d_cal, params = micro_point(4)
+    pooled, density, d_cal, params = micro_point(4)
     params.mix_high = np.zeros((3, 3))
     params.mix_low = np.zeros((3, 3))
-    got = edh(pair, pooled, d_cal, params)
+    got = edh(pooled, density, d_cal, params)
     ref = np.broadcast_to(pooled.mean(axis=0), (3, 4, 4)) + d_cal
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_edh_matches_hand_pipeline():
     for seed in (1, 2, 3):
-        pair, pooled, d_cal, params = micro_point(seed)
-        got = edh(pair, pooled, d_cal, params)
-        ref = oracles.hand_edh(
-            pair.low, pair.high, pooled, d_cal,
-            {"ca_reduce": params.ca_reduce, "ca_expand": params.ca_expand,
-             "sa_w": params.sa_w, "mix_high": params.mix_high,
-             "mix_low": params.mix_low})
+        pooled, density, d_cal, params = micro_point(seed)
+        got = edh(pooled, density, d_cal, params)
+        ref = hand_edh(*bands(pooled, density, params), pooled, d_cal, params)
         assert got.shape == (3, 4, 4)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
 
 
-def affinity_of(pair, d_cal, params):
-    c = pair.low.shape[0]
+def affinity_of(low, high, d_cal, params):
+    c = low.shape[0]
     l = d_cal.size
     f_low = oracles.hand_channel_attention(
-        oracles.naive_idct2(pair.low), params.ca_reduce, params.ca_expand)
-    f_high = oracles.hand_spatial_attention(oracles.naive_idct2(pair.high), params.sa_w)
+        oracles.naive_idct2(low), params.ca_reduce, params.ca_expand)
+    f_high = oracles.hand_spatial_attention(oracles.naive_idct2(high), params.sa_w)
     d_flat = d_cal.reshape(1, l)
     gh = (params.mix_high @ f_high.reshape(c, l)) * d_flat
     gl = (params.mix_low @ f_low.reshape(c, l)) * (1.0 - d_flat)
@@ -139,22 +116,20 @@ def affinity_of(pair, d_cal, params):
 
 
 def test_affinity_rows_stochastic_and_argmax_scale_invariant():
-    pair, pooled, d_cal, params = micro_point(5)
-    a1 = affinity_of(pair, d_cal, params)
+    pooled, density, d_cal, params = micro_point(5)
+    low, high = bands(pooled, density, params)
+    a1 = affinity_of(low, high, d_cal, params)
     assert np.abs(a1.sum(axis=1) - 1.0).max() < 1e-12
     scaled = EdhParams(params.mask_w, params.mask_b, params.ca_reduce,
                        params.ca_expand, params.sa_w,
                        3.0 * params.mix_high, 3.0 * params.mix_low)
-    a2 = affinity_of(pair, d_cal, scaled)
+    a2 = affinity_of(low, high, d_cal, scaled)
     assert np.array_equal(a1.argmax(axis=1), a2.argmax(axis=1))
     # and the implementation agrees with the oracle at both scales
     for p in (params, scaled):
-        got = edh(pair, pooled, d_cal, p)
-        ref = oracles.hand_edh(pair.low, pair.high, pooled, d_cal,
-                               {"ca_reduce": p.ca_reduce, "ca_expand": p.ca_expand,
-                                "sa_w": p.sa_w, "mix_high": p.mix_high,
-                                "mix_low": p.mix_low})
-        assert np.allclose(got, ref, rtol=1e-12, atol=1e-14)
+        got = edh(pooled, density, d_cal, p)
+        assert np.allclose(got, hand_edh(low, high, pooled, d_cal, p),
+                           rtol=1e-12, atol=1e-14)
 
 
 def test_edh_params_validation():

@@ -1,16 +1,16 @@
-"""Thresholding, two-centroid clustering, rectangle refinement, focus bank."""
+"""Thresholding, two-centroid clustering, rectangle refinement, and the
+focus bank that dafm_forward pools from the refined mask."""
 
 import numpy as np
 import pytest
 
 from densefocus import autodiff as ad
 from densefocus import ops
+from densefocus.dafm import bank_kernel, dafm_forward, dafm_params, expected_agents
 from densefocus.density import DensityMap, gt_density
 from densefocus.errors import InvalidArgumentError, NumericError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
-from densefocus.regions import (
-    RegionSet, focus_bank, kmeans2, refine_mask, threshold_mask,
-)
+from densefocus.regions import RegionSet, kmeans2, refine_mask, threshold_mask
 from densefocus.rng import Rng
 from densefocus.synthgen import SceneSpec, generate_scene
 
@@ -231,50 +231,71 @@ def test_region_set_json_is_one_based():
 
 
 # ---------------------------------------------------------------------------
-# focus_bank
+# focus bank: dafm_forward pools the refined mask's features into its agents
+
+def bank_of(x, density, channels, seed, bank_w=None):
+    """``dafm_forward``'s bank under an absolute threshold of 0.5, with the
+    bank bias zeroed and, if given, the bank conv weight replaced."""
+    h, w = ad.shape_of(x)[1:]
+    params = dafm_params(channels, channels, expected_agents(h, w), seed)
+    params.bank_b = np.zeros(channels)
+    if bank_w is not None:
+        params.bank_w = bank_w
+    _, inter = dafm_forward(x, density, params, "absolute", 0.5, return_intermediates=True)
+    return inter, params
+
 
 def test_focus_bank_zero_mask_annihilates():
     x = seeded_uniform(1, "fb.x", (3, 14, 14), 1)
-    w = seeded_uniform(1, "fb.w", (3, 3, 1, 1), 3)
-    out = focus_bank(x, np.zeros((1, 14, 14)), w, None, kernel=7)
-    assert out.shape == (3, 2, 2)
-    assert not out.any()
-    b = seeded_uniform(1, "fb.b", (3,), 3)
-    out_b = focus_bank(x, np.zeros((14, 14)), w, b, kernel=7)
-    assert np.array_equal(out_b, np.broadcast_to(b[:, None, None], (3, 2, 2)))
+    d = np.zeros((1, 14, 14))
+    d[0, 1:5, 2:6] = 1.0
+    inter, params = bank_of(x, d, 3, 1)
+    assert inter.bank.shape == (3, 7, 7)
+    outside = ops.avg_pool(inter.refined_mask, bank_kernel(14, 14))[0] == 0.0
+    assert outside.sum() > 40 and inter.bank[:, ~outside].any()
+    assert not inter.bank[:, outside].any()
+    # with the bias back, those cells are the bias alone
+    params.bank_b = seeded_uniform(1, "fb.b", (3,), 3)
+    _, inter_b = dafm_forward(x, d[0], params, "absolute", 0.5, return_intermediates=True)
+    assert np.array_equal(inter_b.bank[:, outside],
+                          np.broadcast_to(params.bank_b[:, None], (3, outside.sum())))
 
 
 def test_focus_bank_identity_conv_is_avg_pool():
-    x = seeded_uniform(2, "fb.id.x", (4, 14, 14), 1)
-    eye = np.eye(4).reshape(4, 4, 1, 1)
-    out = focus_bank(x, np.ones((1, 14, 14)), eye, None, kernel=7)
-    assert np.allclose(out, ops.avg_pool(x, 7), rtol=1e-14, atol=0.0)
+    x = seeded_uniform(2, "fb.id.x", (4, 32, 32), 1)
+    params = dafm_params(4, 4, expected_agents(32, 32), 2)
+    params.bank_w, params.bank_b = np.eye(4).reshape(4, 4, 1, 1), np.zeros(4)
+    # an absolute threshold of 0 selects every pixel of a zero density
+    _, inter = dafm_forward(x, np.zeros((1, 32, 32)), params, "absolute", 0.0,
+                            return_intermediates=True)
+    assert inter.refined_mask.all()
+    assert np.allclose(inter.bank, ops.avg_pool(x, bank_kernel(32, 32)), rtol=1e-14, atol=0.0)
 
 
 def test_focus_bank_aligned_rectangle_hits_one_cell():
-    x = np.abs(seeded_uniform(3, "fb.rect.x", (2, 14, 14), 1)) + 0.1
-    mask = np.zeros((1, 14, 14))
-    mask[0, 7:14, 0:7] = 1.0  # exactly the bottom-left pooling window
-    eye = np.eye(2).reshape(2, 2, 1, 1)
-    out = focus_bank(x, mask, eye, None, kernel=7)
-    assert out.shape == (2, 2, 2)
-    assert (out[:, 1, 0] > 0.0).all()
+    x = np.abs(seeded_uniform(3, "fb.rect.x", (2, 28, 28), 1)) + 0.1
+    d = np.zeros((1, 28, 28))
+    d[0, 24:28, 0:4] = 1.0  # exactly the bottom-left pooling window
+    inter, _ = bank_of(x, d, 2, 3, bank_w=np.eye(2).reshape(2, 2, 1, 1))
+    assert bank_kernel(28, 28) == 4 and np.array_equal(inter.refined_mask, d)
+    out = inter.bank
+    assert out.shape == (2, 7, 7)
+    assert (out[:, 6, 0] > 0.0).all()
     cleared = out.copy()
-    cleared[:, 1, 0] = 0.0
+    cleared[:, 6, 0] = 0.0
     assert not cleared.any()
-    assert np.allclose(out[:, 1, 0], x[:, 7:14, 0:7].mean(axis=(1, 2)),
+    assert np.allclose(out[:, 6, 0], x[:, 24:28, 0:4].mean(axis=(1, 2)),
                        rtol=1e-14, atol=0.0)
 
 
 def test_focus_bank_validation_and_graph_mode():
-    x = np.ones((2, 8, 8))
-    w = np.ones((2, 2, 1, 1))
-    with pytest.raises(InvalidArgumentError):
-        focus_bank(x, np.ones((1, 8, 7)), w, None, kernel=7)
-    with pytest.raises(InvalidArgumentError):
-        focus_bank(x, np.ones((1, 8, 8)), w, None, kernel=0)
-    with pytest.raises(UnsupportedOperationError):
-        focus_bank(x, ad.Var(np.ones((1, 8, 8))), w, None, kernel=7)
-    out = focus_bank(ad.Var(x), np.ones((1, 8, 8)), w, None, kernel=4)
-    assert isinstance(out, ad.Var)
-    assert out.value.shape == (2, 2, 2)
+    """A graph-node input gives a graph-node bank; a graph-node density is
+    read by value, so it pools the same bank as its array."""
+    x = seeded_uniform(4, "fb.g.x", (2, 8, 8), 1)
+    d = np.zeros((1, 8, 8))
+    d[0, 2:6, 1:4] = 1.0
+    inter, _ = bank_of(x, d, 2, 4)
+    graph, _ = bank_of(ad.Var(x), ad.Var(d), 2, 4)
+    assert isinstance(graph.bank, ad.Var)
+    assert graph.bank.value.shape == (2, 4, 4)
+    assert np.array_equal(graph.bank.value, inter.bank)
