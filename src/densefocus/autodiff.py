@@ -379,6 +379,10 @@ def _conv2d_vjp(g, out, needs, x, weight, bias=None, stride=1, pad=0):
 
 
 conv2d = defop(ops.conv2d, _conv2d_vjp)
+# relu(conv2d(...)) as one node: the mask reads the clamped output, whose
+# sign is the conv output's, NaN and -0.0 included
+conv2d_relu = defop(ops.conv2d_relu, lambda g, out, needs, *args, **kwargs:
+                    _conv2d_vjp(g * (out > 0.0), out, needs, *args, **kwargs))
 
 
 def _avg_pool_vjp(g, out, needs, x, k):

@@ -187,6 +187,7 @@ def dgb_forward(x, params, cfg: DgbConfig):
     Encoder: strided 3x3 convs (stride 2, pad 1) + ReLU.
     Decoder: bilinear x2 upsample + 3x3 conv + ReLU per stage.
     Regressor: 3x3 conv to one channel + ReLU.
+    Each conv + ReLU is one ``conv2d_relu``: one tape node, one activation.
     H and W must be divisible by 2**stages.  Returns the [1,H,W] map: an
     array for concrete inputs, a graph node when differentiating.
     """
@@ -197,14 +198,12 @@ def dgb_forward(x, params, cfg: DgbConfig):
             f"dgb_forward: {h}x{w} not divisible by 2^{cfg.stages}")
     cur = x
     for i in range(cfg.stages):
-        cur = ad.relu(ad.conv2d(cur, params[f"enc{i}.w"], params[f"enc{i}.b"],
-                                stride=2, pad=1))
+        cur = ad.conv2d_relu(cur, params[f"enc{i}.w"], params[f"enc{i}.b"], stride=2, pad=1)
     for i in range(cfg.stages):
         shape = ad.shape_of(cur)
         cur = ad.bilinear_resize(cur, shape[1] * 2, shape[2] * 2)
-        cur = ad.relu(ad.conv2d(cur, params[f"dec{i}.w"], params[f"dec{i}.b"],
-                                stride=1, pad=1))
-    return ad.relu(ad.conv2d(cur, params["reg.w"], params["reg.b"], stride=1, pad=1))
+        cur = ad.conv2d_relu(cur, params[f"dec{i}.w"], params[f"dec{i}.b"], stride=1, pad=1)
+    return ad.conv2d_relu(cur, params["reg.w"], params["reg.b"], stride=1, pad=1)
 
 
 # ---------------------------------------------------------------------------

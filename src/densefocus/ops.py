@@ -291,6 +291,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
     return np.ascontiguousarray(acc.reshape(c_out, out_h, aw)[:, :, :out_w])
 
 
+def conv2d_relu(x, weight, bias=None, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """:func:`relu` of :func:`conv2d`, clamped in place on the fresh output."""
+    out = conv2d(x, weight, bias, stride, pad)
+    return np.maximum(out, 0.0, out=out)
+
+
 def depthwise_conv(x, dw_weight) -> np.ndarray:
     """Depthwise 'same' conv (odd square kernel, stride 1, zero padding):
     one single-channel :func:`conv2d` per channel."""

@@ -6,6 +6,7 @@ Kinked ops (relu, max_channels) are probed at points bounded away from the
 kink so the +/- eps probes stay on one branch.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -503,3 +504,53 @@ def test_bilinear_vjp_bits_equal_add_at_form(shape, target):
     for seed in (1, 2):
         g = u(seed, "g.blbits.g", out.shape)
         assert np.array_equal(ad.vjp(out, g, [x])[0], _bilinear_vjp_add_at(g, shape))
+
+
+# ---------------------------------------------------------------------------
+# the fused conv + ReLU keeps the bits of its composition
+
+def _conv_relu_point(stride, pad, with_bias):
+    """Conv arguments whose outputs hold exact 0.0, NaN and, with a bias,
+    -0.0: a zero corner of the input meets channel 0's 0.0 bias and channel
+    1's all-negative kernel and -0.0 bias, and a NaN sits in the far corner."""
+    x = u(stride, "g.cr.x", (2, 9, 9))
+    x[:, :5, :5] = 0.0
+    x[0, -1, -1] = np.nan
+    weight = u(pad, "g.cr.w", (3, 2, 3, 3), 3)
+    weight[1] = -np.abs(weight[1]) - 0.1
+    if not with_bias:
+        return x, weight, None
+    bias = u(stride + pad, "g.cr.b", (3,))
+    bias[:2] = 0.0, -0.0
+    return x, weight, bias
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_relu_bits_equal_relu_of_conv2d(stride, pad, with_bias):
+    args = _conv_relu_point(stride, pad, with_bias)
+    copies = [None if a is None else a.copy() for a in args]
+    with ops.count_macs() as conv_macs:
+        conv = ops.conv2d(*args, stride, pad)
+    zeros = conv[conv == 0.0]
+    assert np.isnan(conv).any() and not np.signbit(zeros).all() and (conv > 0.0).any()
+    assert np.signbit(zeros).any() == with_bias
+    with ops.count_macs() as fused_macs:
+        got = ops.conv2d_relu(*args, stride, pad)
+    assert got.shape == conv.shape and got.tobytes() == ops.relu(conv).tobytes()
+    assert fused_macs.macs == conv_macs.macs > 0
+    for a, before in zip(args, copies):
+        assert a is None or a.tobytes() == before.tobytes()
+
+    g = u(pad, "g.cr.g", got.shape)
+    slots = [i for i, a in enumerate(args) if a is not None]
+    for n in range(1, len(slots) + 1):
+        for subset in itertools.combinations(slots, n):
+            call = [ad.Var(a) if i in subset else a for i, a in enumerate(args)]
+            wrt = [call[i] for i in subset]
+            fused = ad.conv2d_relu(*call, stride=stride, pad=pad)
+            composed = ad.relu(ad.conv2d(*call, stride=stride, pad=pad))
+            assert fused._parents == tuple(wrt)
+            assert fused.value.tobytes() == composed.value.tobytes()
+            for a, b in zip(ad.vjp(fused, g, wrt), ad.vjp(composed, g, wrt), strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()

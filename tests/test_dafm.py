@@ -233,8 +233,9 @@ def test_sigmoid_gates_full_bias_and_single_var_gradients_keep_bits():
 
 
 def test_gated_mix_peak_memory_is_one_gate_block():
-    # the stage-1 shape at 112x112, C=16: 256 agents over 12,544 pixels.  One
-    # [64,n] gate block and one b^T copy are alive at once; two blocks are not
+    # a synthetic multi-block shape, C=16: 256 rows of a against 12,544 of b,
+    # so four [64,n] gate blocks.  One gate block and one b^T copy are alive
+    # at once; two blocks are not
     m, n, d = 256, 12544, 16
     point, _ = mix_point(8, "gp", m, n, d, "row")
     tracemalloc.start()

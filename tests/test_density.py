@@ -17,6 +17,7 @@ from densefocus.density import (
 from densefocus.errors import InvalidArgumentError, UnsupportedOperationError
 from densefocus.params import seeded_uniform
 from densefocus.regions import refine_mask, threshold_mask
+from densefocus.synthgen import SceneSpec, generate_scene
 from densefocus.tensorfile import write_heatmap
 
 import oracles
@@ -347,6 +348,45 @@ def test_dgb_with_density_loss_grad_check():
     # guard against a dead-relu network, which would pass vacuously
     assert dgb_forward(x, params, cfg).max() > 0.0
     assert ad.grad_check(f, x, eps=1e-6) < 1e-5
+
+
+def test_dgb_forward_is_one_tape_node_per_conv_layer():
+    # train_demo's first scene and weights: each conv + ReLU layer is one node
+    # holding the activation, 7 fewer than relu(conv2d) builds, and every
+    # leaf gradient keeps the bits of that two-node graph
+    cfg = DgbConfig()
+    image, anns = generate_scene(SceneSpec(
+        width=64, height=64, n_clusters=2, objects_per_cluster=(3, 6),
+        object_size=(3, 8), cluster_spread=7.0, seed=7000), image_id=1)
+    target = gt_density(anns, 64, 64).values
+    params = dgb_params(cfg, 1, seed=7)
+
+    def two_node_layers(x, leaves):
+        for i in range(cfg.stages):
+            x = ad.relu(ad.conv2d(x, leaves[f"enc{i}.w"], leaves[f"enc{i}.b"], 2, 1))
+        for i in range(cfg.stages):
+            x = ad.bilinear_resize(x, 2 * x.shape[1], 2 * x.shape[2])
+            x = ad.relu(ad.conv2d(x, leaves[f"dec{i}.w"], leaves[f"dec{i}.b"], 1, 1))
+        return ad.relu(ad.conv2d(x, leaves["reg.w"], leaves["reg.b"], 1, 1))
+
+    graphs = []
+    for forward in (lambda leaves: dgb_forward(image, leaves, cfg),
+                    lambda leaves: two_node_layers(image, leaves)):
+        leaves = {name: ad.Var(value) for name, value in params.items()}
+        loss = density_loss(forward(leaves), target)
+        graphs.append((ad._topo_order(loss), leaves))
+        ad.backward(loss)
+    (order, leaves), (ref_order, ref_leaves) = graphs
+    layers = [name[:-2] for name in params if name.endswith(".w")]
+    assert len(layers) == 7 and len(order) == len(ref_order) - 7
+    for layer in layers:
+        weight, bias = leaves[f"{layer}.w"], leaves[f"{layer}.b"]
+        users = [node for node in order if weight in node._parents]
+        assert len(users) == 1 and users[0]._parents[-2:] == (weight, bias)
+        assert (users[0].value >= 0.0).all()
+    assert any(leaf.grad.any() for leaf in leaves.values())
+    for name in params:
+        assert leaves[name].grad.tobytes() == ref_leaves[name].grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
